@@ -24,8 +24,8 @@ type atomicUnit struct {
 
 	// Table 2 characterization: a slab of per-variable records indexed by
 	// word-aligned address. observeUpdate runs at every write atomic's
-	// bank-service instant, so the lookup and the active-episode walk are
-	// flat-array operations rather than map traffic.
+	// bank-service instant, so it is one flat-index lookup and one counter
+	// increment, whatever the number of open wait episodes.
 	charIdx   *hashutil.Flat[mem.Addr, int32] // aligned addr -> 1-based slab ref
 	charSlab  []varChar
 	charAddrs []mem.Addr // slab insertion order (characterization re-sorts)
@@ -34,7 +34,9 @@ type atomicUnit struct {
 // varChar keeps one synchronization variable's Table 2 statistics. The
 // per-variable populations (distinct waited-for values, concurrent
 // conditions, active episodes) are small — bounded by concurrent waiters —
-// so linear scans of flat slices beat map overhead on every path.
+// so linear scans of flat slices beat map overhead on every path. Updates
+// are counted once per variable; an episode records the counter's value
+// when it began, and its update count is the difference when it ends.
 type varChar struct {
 	scope Scope
 
@@ -43,8 +45,9 @@ type varChar struct {
 
 	maxWaiters int
 
+	updates  int    // write atomics observed on the variable so far
 	epWGs    []WGID // active episodes: the waiting WGs...
-	epCounts []int  // ...and updates observed since each began
+	epStarts []int  // ...and the update counter when each began
 
 	updatesPerMet []int
 }
@@ -232,15 +235,15 @@ func (p *atomicUnit) charBegin(w *WG, v Var, want int64) {
 			c.maxWaiters = 1
 		}
 	}
-	// Begin (or restart) w's episode with a zeroed update count.
+	// Begin (or restart) w's episode at the current update count.
 	for i, id := range c.epWGs {
 		if id == w.id {
-			c.epCounts[i] = 0
+			c.epStarts[i] = c.updates
 			return
 		}
 	}
 	c.epWGs = append(c.epWGs, w.id)
-	c.epCounts = append(c.epCounts, 0)
+	c.epStarts = append(c.epStarts, c.updates)
 }
 
 func (p *atomicUnit) charMet(w *WG, v Var, want int64) {
@@ -256,12 +259,12 @@ func (p *atomicUnit) charMet(w *WG, v Var, want int64) {
 	}
 	for i, id := range c.epWGs {
 		if id == w.id {
-			c.updatesPerMet = append(c.updatesPerMet, c.epCounts[i])
-			// Episode order is immaterial (observeUpdate increments all,
-			// charMet records only the finished one): swap-remove.
+			c.updatesPerMet = append(c.updatesPerMet, c.updates-c.epStarts[i])
+			// Episode order is immaterial (charMet records only the
+			// finished one): swap-remove.
 			last := len(c.epWGs) - 1
-			c.epWGs[i], c.epCounts[i] = c.epWGs[last], c.epCounts[last]
-			c.epWGs, c.epCounts = c.epWGs[:last], c.epCounts[:last]
+			c.epWGs[i], c.epStarts[i] = c.epWGs[last], c.epStarts[last]
+			c.epWGs, c.epStarts = c.epWGs[:last], c.epStarts[:last]
 			return
 		}
 	}
@@ -272,10 +275,7 @@ func (p *atomicUnit) observeUpdate(a mem.Addr) {
 	if r == nil {
 		return
 	}
-	c := &p.charSlab[*r-1]
-	for i := range c.epCounts {
-		c.epCounts[i]++
-	}
+	p.charSlab[*r-1].updates++
 }
 
 // charSummary aggregates the Table 2 columns over a whole run.

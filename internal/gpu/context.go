@@ -23,7 +23,7 @@ func newCtxSwitcher(m *Machine) *ctxSwitcher { return &ctxSwitcher{m: m} }
 // so it queues ready the instant its save lands.
 func (c *ctxSwitcher) saveOut(w *WG, requeueReady bool) {
 	m := c.m
-	w.state = StateSwitchingOut
+	m.setState(w, StateSwitchingOut)
 	if requeueReady {
 		w.readyWhenSaved = true
 	}
@@ -132,7 +132,7 @@ func runRestoreDone(t *event.Task) {
 		m.sched.requeueReady(w)
 		return
 	}
-	w.state = StateResident
+	m.setState(w, StateResident)
 	m.progress()
 	m.Trace(w, trace.SwitchIn)
 	m.runParked(w)

@@ -125,6 +125,11 @@ type computeUnit struct {
 	wfSlots  int
 	ldsFree  int
 	resident map[WGID]*WG
+	// issuingWFs tallies the wavefronts of the resident WGs that are issuing
+	// (state resident, not stalled): issueFactor's numerator.
+	// Machine.setState and Machine.SetStalled adjust it at every transition
+	// into or out of that set, and Machine.Restore rebuilds it.
+	issuingWFs int
 }
 
 func newComputeUnit(id CUID, cfg Config) *computeUnit {

@@ -13,33 +13,7 @@ import (
 // footprint, then checks every CU's resource pools (WG slots, wavefront
 // slots, LDS) drained back to exactly their configured capacity.
 func TestRepeatedPreemptRestoreAccounting(t *testing.T) {
-	const flag = mem.Addr(0x8000)
-	cfg := testConfig() // 2 CUs, 4 WGs/CU
-	spec := &KernelSpec{
-		Name: "flap-accounting", NumWGs: 16, WIsPerWG: 64, LDSBytes: 1024,
-		Program: func(d Device) {
-			if d.ID() == 0 {
-				d.Compute(120_000)
-				d.AtomicStore(GlobalVar(flag), 1)
-				return
-			}
-			d.Compute(1_000)
-			d.AwaitEq(GlobalVar(flag), 1)
-		},
-	}
-	m := newTestMachine(t, cfg, spec, &yieldPolicy{})
-	// Odd, co-prime strides so the outages drift across every phase of the
-	// atomic and context-switch pipelines over the rounds. The two CUs'
-	// outages briefly overlap in some rounds; both restores always land
-	// within a few thousand cycles, far inside the progress window.
-	eng := m.Engine()
-	for i := 0; i < 6; i++ {
-		at := event.Cycle(5_000 + 17_123*i)
-		eng.At(at, func() { m.PreemptCU(1) })
-		eng.At(at+7_919, func() { m.RestoreCU(1) })
-		eng.At(at+3_557, func() { m.PreemptCU(0) })
-		eng.At(at+9_973, func() { m.RestoreCU(0) })
-	}
+	m, cfg := flappingMachine(t)
 	res := m.Run()
 	if res.Deadlocked {
 		t.Fatalf("deadlocked under repeated preempt/restore: %v", res.Diagnosis)
@@ -71,4 +45,39 @@ func TestRepeatedPreemptRestoreAccounting(t *testing.T) {
 			t.Errorf("cu%d still hosts %d WGs", id, len(cu.resident))
 		}
 	}
+}
+
+// flappingMachine builds the flapping schedule: an oversubscribed launch
+// with an LDS footprint under yieldPolicy, with both CUs of the 2-CU test
+// machine preempted and restored six times each.
+func flappingMachine(t *testing.T) (*Machine, Config) {
+	t.Helper()
+	const flag = mem.Addr(0x8000)
+	cfg := testConfig() // 2 CUs, 4 WGs/CU
+	spec := &KernelSpec{
+		Name: "flap-accounting", NumWGs: 16, WIsPerWG: 64, LDSBytes: 1024,
+		Program: func(d Device) {
+			if d.ID() == 0 {
+				d.Compute(120_000)
+				d.AtomicStore(GlobalVar(flag), 1)
+				return
+			}
+			d.Compute(1_000)
+			d.AwaitEq(GlobalVar(flag), 1)
+		},
+	}
+	m := newTestMachine(t, cfg, spec, &yieldPolicy{})
+	// Odd, co-prime strides so the outages drift across every phase of the
+	// atomic and context-switch pipelines over the rounds. The two CUs'
+	// outages briefly overlap in some rounds; both restores always land
+	// within a few thousand cycles, far inside the progress window.
+	eng := m.Engine()
+	for i := 0; i < 6; i++ {
+		at := event.Cycle(5_000 + 17_123*i)
+		eng.At(at, func() { m.PreemptCU(1) })
+		eng.At(at+7_919, func() { m.RestoreCU(1) })
+		eng.At(at+3_557, func() { m.PreemptCU(0) })
+		eng.At(at+9_973, func() { m.RestoreCU(0) })
+	}
+	return m, cfg
 }

@@ -281,7 +281,33 @@ func (m *Machine) SetStalled(w *WG, stalled bool) {
 	if stalled && !w.stalled {
 		m.Trace(w, trace.StallBegin)
 	}
+	was := w.issuing()
 	w.stalled = stalled
+	m.retally(w, was)
+}
+
+// setState moves w to state s, keeping its CU's issue tally in step. Every
+// run-path move into or out of StateResident goes through it.
+func (m *Machine) setState(w *WG, s WGState) {
+	was := w.issuing()
+	w.state = s
+	m.retally(w, was)
+}
+
+// retally applies a change in w's issuing status (resident and not
+// stalled) to its CU's issue tally; was is the status before the
+// transition. setState and SetStalled call it, which keeps each tally
+// equal to the issuing wavefronts of the CU's resident map.
+func (m *Machine) retally(w *WG, was bool) {
+	is := w.issuing()
+	if is == was {
+		return
+	}
+	wf := w.spec.Wavefronts(m.cfg.SIMDWidth)
+	if !is {
+		wf = -wf
+	}
+	m.sched.cu(w.cu).issuingWFs += wf
 }
 
 // Done reports whether every WG of every kernel has completed.
@@ -316,7 +342,7 @@ func (m *Machine) Halt(reason string) {
 // start launches a pending WG on cu for the first time.
 func (m *Machine) start(w *WG, cu *computeUnit) {
 	cu.host(w, m.cfg.SIMDWidth)
-	w.state = StateResident
+	m.setState(w, StateResident)
 	at := m.sched.dispatchSlot()
 	t := m.eng.NewTask(runStartBody)
 	t.Env[0] = m
@@ -538,7 +564,7 @@ func (m *Machine) handle(w *WG, r request) {
 		w.closePhase(now)
 		w.finished = true
 		w.live = false
-		w.state = StateDone
+		m.setState(w, StateDone)
 		m.sched.cu(w.cu).release(w, m.cfg.SIMDWidth)
 		m.completed++
 		w.kr.completed++

@@ -12,10 +12,15 @@ type scheduler struct {
 
 	pending    []*WG // never-started WGs, in dispatch order
 	readyQueue []*WG // switched-out WGs whose conditions are met
-	queueSeq   uint64
-	dispFree   event.Cycle
-	kickQueued bool
-	kickFn     func() // reusable kick continuation (kick fires constantly)
+	// readyUnsorted marks a ready queue that may be out of order: a
+	// requeued WG keeps its old sequence, and a restore installs a saved
+	// queue as is. While it is clear the queue is sorted, so enqueueReady
+	// places only the new tail.
+	readyUnsorted bool
+	queueSeq      uint64
+	dispFree      event.Cycle
+	kickQueued    bool
+	kickFn        func() // reusable kick continuation (kick fires constantly)
 }
 
 func newScheduler(m *Machine) *scheduler {
@@ -45,19 +50,29 @@ func (s *scheduler) enqueuePending(wgs []*WG) {
 
 // enqueueReady appends a ready WG with a fresh arrival sequence and runs the
 // dispatcher. The fresh sequence is what lets never-dispatched pending WGs
-// eventually outrank ready-queue churners (see dispatchPass).
+// eventually outrank ready-queue churners (see dispatchPass). The queue
+// ends up exactly as a full sortWGQueue would leave it: on a sorted queue
+// that sort only moves the new tail, so only a queue marked unsorted pays
+// for the whole pass.
 func (s *scheduler) enqueueReady(w *WG) {
 	s.queueSeq++
 	w.queueSeq = s.queueSeq
 	s.readyQueue = append(s.readyQueue, w)
-	sortWGQueue(s.readyQueue)
+	if s.readyUnsorted {
+		sortWGQueue(s.readyQueue)
+		s.readyUnsorted = false
+	} else {
+		siftTail(s.readyQueue, len(s.readyQueue)-1)
+	}
 	s.kick()
 }
 
 // requeueReady re-appends a WG whose restore was revoked mid-flight; it
-// keeps its sequence number (it never got to run).
+// keeps its sequence number (it never got to run), so the queue may now be
+// out of order until the next enqueueReady sorts it.
 func (s *scheduler) requeueReady(w *WG) {
 	s.readyQueue = append(s.readyQueue, w)
+	s.readyUnsorted = true
 	s.kick()
 }
 
@@ -79,13 +94,19 @@ func (s *scheduler) queueLens() (pending, ready int) {
 // get a slot).
 func sortWGQueue(q []*WG) {
 	for i := 1; i < len(q); i++ {
-		for j := i; j > 0; j-- {
-			a, b := q[j-1], q[j]
-			if b.kr.priority > a.kr.priority || (b.kr.priority == a.kr.priority && b.queueSeq < a.queueSeq) {
-				q[j-1], q[j] = b, a
-			} else {
-				break
-			}
+		siftTail(q, i)
+	}
+}
+
+// siftTail moves q[i] left past every entry it outranks: one insertion
+// sort step, which places q[i] when q[:i] is already sorted.
+func siftTail(q []*WG, i int) {
+	for j := i; j > 0; j-- {
+		a, b := q[j-1], q[j]
+		if b.kr.priority > a.kr.priority || (b.kr.priority == a.kr.priority && b.queueSeq < a.queueSeq) {
+			q[j-1], q[j] = b, a
+		} else {
+			break
 		}
 	}
 }
@@ -275,18 +296,13 @@ func (s *scheduler) dispatchSlot() event.Cycle {
 // issueFactor models SIMD issue-slot sharing on w's CU: compute throughput
 // divides among the wavefronts of the resident WGs that are actively
 // issuing (a 4-wavefront WG takes four slots' worth of issue bandwidth).
+// The CU keeps that wavefront count as a running tally (see
+// computeUnit.issuingWFs), so the factor costs O(1) at any residency.
 func (s *scheduler) issueFactor(w *WG) event.Cycle {
 	if !w.Resident() {
 		return 1
 	}
-	executing := 0
-	//lint:allow simdeterminism commutative integer sum; Wavefronts is a pure function of the immutable spec
-	for _, r := range s.cus[w.cu].resident {
-		if !r.stalled && r.state == StateResident {
-			executing += r.spec.Wavefronts(s.m.cfg.SIMDWidth)
-		}
-	}
-	f := (executing + s.m.cfg.SIMDsPerCU - 1) / s.m.cfg.SIMDsPerCU
+	f := (s.cus[w.cu].issuingWFs + s.m.cfg.SIMDsPerCU - 1) / s.m.cfg.SIMDsPerCU
 	if f < 1 {
 		f = 1
 	}

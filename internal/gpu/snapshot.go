@@ -105,7 +105,7 @@ func (s *Snapshot) Bytes() int {
 	n += 24 * len(s.atomics.charAddrs)
 	for i := range s.atomics.charSlab {
 		c := &s.atomics.charSlab[i]
-		n += 64 + 8*(len(c.wantVals)+len(c.epWGs)+len(c.epCounts)+len(c.updatesPerMet)) + 24*len(c.conds)
+		n += 64 + 8*(len(c.wantVals)+len(c.epWGs)+len(c.epStarts)+len(c.updatesPerMet)) + 24*len(c.conds)
 	}
 	for _, h := range s.hooks {
 		if b, ok := h.(interface{ Bytes() int }); ok {
@@ -142,10 +142,11 @@ type frameSnap struct {
 	regs []int64
 }
 
-// wgSnap records one WG's mutable runtime state. The resident maps are not
-// saved: w.cu mirrors residency exactly (host sets it, release clears it),
-// so Restore rebuilds each CU's resident set from the WGs — no map
-// iteration anywhere in the snapshot path.
+// wgSnap records one WG's mutable runtime state. The resident maps and
+// issue tallies are not saved: w.cu mirrors residency exactly (host sets
+// it, release clears it), so Restore rebuilds each CU's resident set and
+// issue tally from the WGs — no map iteration anywhere in the snapshot
+// path.
 type wgSnap struct {
 	frame          *frameSnap
 	state          WGState
@@ -183,8 +184,9 @@ func cloneVarChar(c *varChar) varChar {
 		wantVals:      append([]int64(nil), c.wantVals...),
 		conds:         append([]condStat(nil), c.conds...),
 		maxWaiters:    c.maxWaiters,
+		updates:       c.updates,
 		epWGs:         append([]WGID(nil), c.epWGs...),
-		epCounts:      append([]int(nil), c.epCounts...),
+		epStarts:      append([]int(nil), c.epStarts...),
 		updatesPerMet: append([]int(nil), c.updatesPerMet...),
 	}
 }
@@ -298,6 +300,7 @@ func (m *Machine) Restore(s *Snapshot) {
 	}
 	sched.pending = append(sched.pending[:0], s.sched.pending...)
 	sched.readyQueue = append(sched.readyQueue[:0], s.sched.readyQueue...)
+	sched.readyUnsorted = true // the saved queue may hold a requeued WG out of order
 	sched.queueSeq = s.sched.queueSeq
 	sched.dispFree = s.sched.dispFree
 	sched.kickQueued = s.sched.kickQueued
@@ -305,11 +308,16 @@ func (m *Machine) Restore(s *Snapshot) {
 		cs := &s.cus[i]
 		cu.enabled, cu.wgSlots, cu.wfSlots, cu.ldsFree = cs.enabled, cs.wgSlots, cs.wfSlots, cs.ldsFree
 		clear(cu.resident)
+		cu.issuingWFs = 0
 	}
 	for i, w := range m.allWGs {
 		m.restoreWG(w, &s.wgs[i])
 		if w.cu != NoCU {
-			sched.cus[w.cu].resident[w.id] = w
+			cu := sched.cus[w.cu]
+			cu.resident[w.id] = w
+			if w.issuing() {
+				cu.issuingWFs += w.spec.Wavefronts(m.cfg.SIMDWidth)
+			}
 		}
 	}
 	au.charIdx.CopyFrom(s.atomics.charIdx)

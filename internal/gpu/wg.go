@@ -134,6 +134,10 @@ func (w *WG) Home() int { return w.home }
 // Resident reports whether the WG currently holds CU resources.
 func (w *WG) Resident() bool { return w.state == StateResident }
 
+// issuing reports whether the WG takes its CU's instruction-issue slots:
+// resident and not stalled.
+func (w *WG) issuing() bool { return w.state == StateResident && !w.stalled }
+
 // Spec reports the kernel this WG belongs to.
 func (w *WG) Spec() *KernelSpec { return w.spec }
 

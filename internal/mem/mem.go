@@ -112,14 +112,12 @@ type System struct {
 	localFree []event.Cycle // next free cycle per CU local atomic unit
 	chanFree  []event.Cycle // next free cycle per DRAM channel
 
-	// Precomputed bank/channel interleaving for power-of-two geometry: the
-	// bank selector runs once per atomic, so the Table 1 defaults (64 B
-	// lines, 16 banks, 4 channels) take the shift/mask path.
+	// Precomputed bank interleaving for power-of-two geometry: the bank
+	// selector runs once per atomic, so the Table 1 defaults (64 B lines,
+	// 16 banks) take the shift/mask path.
 	lineShift uint
 	bankMask  uint64
-	chanMask  uint64
 	pow2Banks bool
-	pow2Chans bool
 
 	stats Stats
 }
@@ -150,10 +148,6 @@ func NewSystem(cfg Config, eng *event.Engine, numCUs int) (*System, error) {
 		s.lineShift = uint(log2(cfg.LineSize))
 		s.bankMask = uint64(cfg.L2Banks - 1)
 	}
-	if isPow2(cfg.DRAMChannels) {
-		s.pow2Chans = true
-		s.chanMask = uint64(cfg.DRAMChannels - 1)
-	}
 	s.l1 = make([]*Cache, numCUs)
 	for i := range s.l1 {
 		if s.l1[i], err = NewCache(cfg.L1Bytes, cfg.L1Ways, cfg.LineSize); err != nil {
@@ -177,13 +171,6 @@ func (s *System) bankOf(a Addr) int {
 		return int(uint64(a) >> s.lineShift & s.bankMask)
 	}
 	return int(uint64(a) / uint64(s.cfg.LineSize) % uint64(s.cfg.L2Banks))
-}
-
-func (s *System) channelOf(line uint64) int {
-	if s.pow2Chans {
-		return int(line & s.chanMask)
-	}
-	return int(line % uint64(s.cfg.DRAMChannels))
 }
 
 func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
@@ -330,7 +317,11 @@ func (s *System) StoreTiming(cu int, a Addr) (respAt event.Cycle) {
 
 // ContextTraffic computes the completion time of moving bytes of WG context
 // between the CU and memory (save or restore). Lines are striped across the
-// DRAM channels; the transfer completes when the last line does.
+// DRAM channels (line i to channel i mod channels); the transfer completes
+// when the last line does. A channel's lines queue back to back behind
+// whatever it already holds, so channel c, receiving k_c lines, finishes at
+// max(base, chanFree[c]) + k_c*DRAMService in closed form — O(channels), not
+// O(lines).
 func (s *System) ContextTraffic(bytes int) (doneAt event.Cycle) {
 	if bytes <= 0 {
 		return s.eng.Now()
@@ -339,18 +330,18 @@ func (s *System) ContextTraffic(bytes int) (doneAt event.Cycle) {
 	lines := (bytes + s.cfg.LineSize - 1) / s.cfg.LineSize
 	s.stats.ContextBytes += uint64(bytes)
 	s.stats.DRAMLines += uint64(lines)
+	base := now + s.cfg.L2Latency + s.cfg.DRAMLatency
+	chans := len(s.chanFree)
+	each, extra := lines/chans, lines%chans
 	doneAt = now
-	for i := 0; i < lines; i++ {
-		ch := s.channelOf(uint64(i))
-		start := now + s.cfg.L2Latency + s.cfg.DRAMLatency
-		if s.chanFree[ch] > start {
-			start = s.chanFree[ch]
+	for c := 0; c < chans && c < lines; c++ {
+		k := each
+		if c < extra {
+			k++
 		}
-		end := start + s.cfg.DRAMService
-		s.chanFree[ch] = end
-		if end > doneAt {
-			doneAt = end
-		}
+		end := max(base, s.chanFree[c]) + event.Cycle(k)*s.cfg.DRAMService
+		s.chanFree[c] = end
+		doneAt = max(doneAt, end)
 	}
 	return doneAt
 }

@@ -92,12 +92,14 @@ ci: fmt vet lint race fuzz golden litmus-quick
 # bench appends a perf-trajectory entry to BENCH_results.json and runs the
 # hot-path benchmarks: the event-engine calendar microbenchmarks, the
 # CU-issue compute chunk at 1, 8 and 24 resident WGs per CU (ns/op must not
-# grow with residency), and the fig15-shaped (oversubscribed) and
-# fault-injection experiment workloads.
+# grow with residency), a run-cache insert into a full cache at caps 64 and
+# 8192 (ns/insert must not grow with the cap), and the fig15-shaped
+# (oversubscribed) and fault-injection experiment workloads.
 bench:
 	$(GO) run ./cmd/awgexp -quick -json BENCH_results.json > /dev/null
 	$(GO) test ./internal/event -bench 'BenchmarkEngine' -benchmem -run '^$$'
 	$(GO) test ./internal/gpu -bench 'BenchmarkComputeIssue' -benchmem -run '^$$'
+	$(GO) test ./internal/sim -bench 'BenchmarkRunCacheInsert' -benchmem -run '^$$'
 	$(GO) test . -bench 'BenchmarkFig15Oversubscribed|BenchmarkFaults' -benchmem -run '^$$'
 
 # benchdiff compares the two newest trajectory entries and exits non-zero

@@ -15,6 +15,9 @@
 package core
 
 import (
+	"slices"
+	"sync"
+
 	"awgsim/internal/event"
 	"awgsim/internal/hashutil"
 	"awgsim/internal/mem"
@@ -88,31 +91,46 @@ func DefaultPredictorConfig() PredictorConfig {
 // updates (a mutex toggling locked/unlocked).
 type Predictor struct {
 	cfg      PredictorConfig
-	counters []*hashutil.UniqueCounter
+	counters []hashutil.UniqueCounter
 	index    hashutil.Universal
 
 	// Counters the policy layer surfaces into the run result.
 	PredictedAll, PredictedOne, Resets uint64
 }
 
+// predictorTemplate is a configuration's predictor in its reset state. It
+// is built once per PredictorConfig and never written afterwards: each
+// Predictor copies the counters (their hash families stay shared and
+// read-only), instead of deriving Filters x BloomK hash functions anew.
+type predictorTemplate struct {
+	counters []hashutil.UniqueCounter
+	index    hashutil.Universal
+}
+
+var predictorTemplates sync.Map // PredictorConfig -> *predictorTemplate
+
 // NewPredictor builds the predictor.
 func NewPredictor(cfg PredictorConfig) *Predictor {
 	if cfg.Filters <= 0 {
 		panic("core: predictor needs at least one filter")
 	}
-	p := &Predictor{
-		cfg:      cfg,
-		counters: make([]*hashutil.UniqueCounter, cfg.Filters),
-		index:    hashutil.NewUniversal(cfg.Seed, cfg.Filters),
+	v, ok := predictorTemplates.Load(cfg)
+	if !ok {
+		t := &predictorTemplate{
+			counters: make([]hashutil.UniqueCounter, cfg.Filters),
+			index:    hashutil.NewUniversal(cfg.Seed, cfg.Filters),
+		}
+		for i := range t.counters {
+			t.counters[i] = *hashutil.NewUniqueCounter(cfg.BloomBits, cfg.BloomK, cfg.Seed+uint64(i))
+		}
+		v, _ = predictorTemplates.LoadOrStore(cfg, t)
 	}
-	for i := range p.counters {
-		p.counters[i] = hashutil.NewUniqueCounter(cfg.BloomBits, cfg.BloomK, cfg.Seed+uint64(i))
-	}
-	return p
+	t := v.(*predictorTemplate)
+	return &Predictor{cfg: cfg, counters: slices.Clone(t.counters), index: t.index}
 }
 
 func (p *Predictor) counterFor(addr mem.Addr) *hashutil.UniqueCounter {
-	return p.counters[p.index.Hash(uint64(addr))]
+	return &p.counters[p.index.Hash(uint64(addr))]
 }
 
 // ObserveUpdate records an update's value in the address's Bloom filter.

@@ -1,10 +1,14 @@
 package core
 
 import (
+	"math/rand/v2"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
 	"awgsim/internal/event"
+	"awgsim/internal/hashutil"
 	"awgsim/internal/mem"
 	"awgsim/internal/syncmon"
 )
@@ -194,4 +198,104 @@ func TestStallPredictorPerAddressIsolation(t *testing.T) {
 	if a, b := s.Predict(0xA0), s.Predict(0xB0); a >= b {
 		t.Fatalf("addresses leaked: %d vs %d", a, b)
 	}
+}
+
+// TestPredictorsShareNoMutableState: predictors built from one config copy
+// the config's template, so updating one — directly or through a restored
+// snapshot — never moves another's counts or the template's.
+func TestPredictorsShareNoMutableState(t *testing.T) {
+	cfg := DefaultPredictorConfig()
+	p1, p2 := NewPredictor(cfg), NewPredictor(cfg)
+	addrs := make([]mem.Addr, 64)
+	for i := range addrs {
+		addrs[i] = mem.Addr(0x1000 + 8*i)
+	}
+	zero := p2.Snapshot()
+	for round := int64(0); round < 5; round++ {
+		for _, a := range addrs {
+			p1.ObserveUpdate(a, round)
+		}
+	}
+	checkZero := func(where string, p *Predictor) {
+		t.Helper()
+		for _, a := range addrs {
+			if got := p.UniqueUpdates(a); got != 0 {
+				t.Fatalf("%s: address %#x counts %d unique updates, want 0", where, a, got)
+			}
+		}
+	}
+	checkZero("untouched peer", p2)
+
+	s1 := p1.Snapshot()
+	p2.Restore(s1)
+	for _, a := range addrs {
+		p2.ObserveUpdate(a, 100)
+		p2.AddressUnmonitored(a + 8*64)
+	}
+	if got := p1.Snapshot(); !equalSnaps(got, s1) {
+		t.Fatal("updates to a predictor restored from a peer's snapshot moved the peer")
+	}
+	p1.Restore(zero)
+	checkZero("rewound to the zero snapshot", p1)
+	p2.Restore(s1)
+	if got := p2.Snapshot(); !equalSnaps(got, s1) {
+		t.Fatal("snapshot changed after being restored and updated through")
+	}
+	checkZero("fresh predictor", NewPredictor(cfg))
+}
+
+func equalSnaps(a, b *PredictorSnap) bool {
+	return a.predictedAll == b.predictedAll && a.predictedOne == b.predictedOne &&
+		a.resets == b.resets && slices.Equal(a.counters, b.counters)
+}
+
+// TestPredictorTemplateMatchesFreshCounters: every template counter hashes
+// exactly as a counter built afresh with hashutil.NewUniqueCounter(m, k,
+// seed+i), value for value.
+func TestPredictorTemplateMatchesFreshCounters(t *testing.T) {
+	for _, cfg := range []PredictorConfig{
+		DefaultPredictorConfig(),
+		{Filters: 7, BloomBits: 64, BloomK: 3, Seed: 5},
+	} {
+		NewPredictor(cfg) // build the template
+		p := NewPredictor(cfg)
+		rng := rand.New(rand.NewPCG(cfg.Seed, 1))
+		for i := range p.counters {
+			fresh := hashutil.NewUniqueCounter(cfg.BloomBits, cfg.BloomK, cfg.Seed+uint64(i))
+			for j := 0; j < 40; j++ {
+				v := rng.Uint64() % 64
+				if got, want := p.counters[i].Observe(v), fresh.Observe(v); got != want ||
+					p.counters[i].State() != fresh.State() {
+					t.Fatalf("cfg %+v counter %d value %d: template state %+v, fresh %+v",
+						cfg, i, v, p.counters[i].State(), fresh.State())
+				}
+			}
+		}
+	}
+}
+
+// TestPredictorTemplateConcurrent builds and drives predictors of one new
+// config from several goroutines at once, as a parallel sweep does: the
+// first builds race to publish the template, and every predictor must
+// still start from zero and count alone.
+func TestPredictorTemplateConcurrent(t *testing.T) {
+	cfg := PredictorConfig{Filters: 64, BloomBits: 24, BloomK: 6, Seed: 0xc0c0}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < 20; r++ {
+				p := NewPredictor(cfg)
+				if n := p.UniqueUpdates(0x40); n != 0 {
+					t.Errorf("fresh predictor counts %d unique updates", n)
+					return
+				}
+				for v := int64(0); v < 10; v++ {
+					p.ObserveUpdate(0x40, v)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

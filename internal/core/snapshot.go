@@ -24,16 +24,16 @@ func (p *Predictor) Snapshot() *PredictorSnap {
 		predictedOne: p.PredictedOne,
 		resets:       p.Resets,
 	}
-	for i, c := range p.counters {
-		s.counters[i] = c.State()
+	for i := range p.counters {
+		s.counters[i] = p.counters[i].State()
 	}
 	return s
 }
 
 // Restore rewinds the predictor to the snapshot.
 func (p *Predictor) Restore(s *PredictorSnap) {
-	for i, c := range p.counters {
-		c.SetState(s.counters[i])
+	for i := range p.counters {
+		p.counters[i].SetState(s.counters[i])
 	}
 	p.PredictedAll, p.PredictedOne, p.Resets = s.predictedAll, s.predictedOne, s.resets
 }

@@ -65,15 +65,26 @@ type scheduled struct {
 // bucket is one wheel slot. pos is the consumption cursor; entries behind
 // it have fired. The slice is reset lazily on the next append or pour after
 // it fully drains, so steady-state scheduling reuses its backing array.
+// hw is the high-water mark of the lengths the slice was truncated from:
+// slots [len, hw) of the backing array may still hold stale fn/task
+// pointers, which drainBucket clears at teardown. Every truncation raises
+// it (truncate).
 type bucket struct {
 	ev  []scheduled
 	pos int
+	hw  int
+}
+
+// truncate empties the bucket, keeping its backing array.
+func (b *bucket) truncate() {
+	b.hw = max(b.hw, len(b.ev))
+	b.ev = b.ev[:0]
+	b.pos = 0
 }
 
 func (b *bucket) add(ev scheduled) {
 	if b.pos > 0 && b.pos == len(b.ev) {
-		b.ev = b.ev[:0]
-		b.pos = 0
+		b.truncate()
 	}
 	b.ev = append(b.ev, ev)
 }
@@ -161,8 +172,7 @@ func (e *Engine) schedule(at Cycle, fn func(), task *Task) {
 	if at >= e.nearBase && at-e.nearBase < nearSize {
 		b := &e.near[at&nearMask]
 		if b.pos > 0 && b.pos == len(b.ev) {
-			b.ev = b.ev[:0]
-			b.pos = 0
+			b.truncate()
 		}
 		b.ev = append(b.ev, scheduled{at: at, seq: e.seq, fn: fn, task: task})
 		e.nearOcc[(at&nearMask)>>6] |= 1 << (at & 63)
@@ -237,7 +247,7 @@ func (e *Engine) wheelHead() *bucket {
 				e.near[ev.at&nearMask].add(ev)
 				e.nearOcc[(ev.at&nearMask)>>6] |= 1 << (ev.at & 63)
 			}
-			fb.ev = fb.ev[:0]
+			fb.truncate()
 			e.farCnt -= n
 			e.nearCnt += n
 		}

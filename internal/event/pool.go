@@ -76,14 +76,16 @@ func (e *Engine) reset() {
 
 // drainBucket empties a bucket like recycleBucket, additionally clearing
 // the consumed slots fire left stale so a pooled engine pins no dead
-// closures or tasks.
+// closures or tasks. Only the slots this engine's runs used are cleared —
+// up to the bucket's high-water mark — not the whole capacity a long-ago
+// burst may have grown.
 func (e *Engine) drainBucket(b *bucket) {
 	for i := b.pos; i < len(b.ev); i++ {
 		if t := b.ev[i].task; t != nil {
 			e.releaseTask(t)
 		}
 	}
-	clear(b.ev[:cap(b.ev)])
+	clear(b.ev[:max(b.hw, len(b.ev))])
 	b.ev = b.ev[:0]
-	b.pos = 0
+	b.pos, b.hw = 0, 0
 }

@@ -182,8 +182,7 @@ func (e *Engine) recycleBucket(b *bucket) {
 		}
 		b.ev[i] = scheduled{}
 	}
-	b.ev = b.ev[:0]
-	b.pos = 0
+	b.truncate()
 }
 
 // ReserveSeqs consumes n sequence numbers without scheduling anything and
@@ -235,8 +234,7 @@ func (e *Engine) AtWithSeq(at Cycle, seq uint64, fn func()) {
 // of other timestamps — possible in far buckets — are position-irrelevant.
 func (b *bucket) insertBySeq(ev scheduled) {
 	if b.pos > 0 && b.pos == len(b.ev) {
-		b.ev = b.ev[:0]
-		b.pos = 0
+		b.truncate()
 	}
 	i := b.pos
 	for i < len(b.ev) {

@@ -130,15 +130,20 @@ func (b *Bloom) Bits() int { return b.m }
 // monitored address. It is the structure AWG consults to decide between
 // resume-one and resume-all: mutexes toggle between at most two values while
 // barrier counters sweep through many.
+//
+// The filter is held by value and its hash family is never written, so a
+// copy of a counter is an independent counter sharing only the read-only
+// family: AWG's predictor builds its counters once per configuration and
+// copies them into each session.
 type UniqueCounter struct {
-	bloom *Bloom
+	bloom Bloom
 	count int
 }
 
 // NewUniqueCounter builds a counter backed by the paper's 24-bit, 6-hash
 // Bloom geometry unless overridden.
 func NewUniqueCounter(m, k int, seed uint64) *UniqueCounter {
-	return &UniqueCounter{bloom: NewBloom(m, k, seed)}
+	return &UniqueCounter{bloom: *NewBloom(m, k, seed)}
 }
 
 // Observe records an updated value and returns the current unique count.

@@ -188,31 +188,42 @@ func (l Litmus) Validate() error {
 // exactly, and equal patterns encode identically — the property that makes
 // the name a run-cache fingerprint component.
 func (l Litmus) Encode() string {
-	var b strings.Builder
-	b.WriteString(LitmusPrefix)
+	// Size the buffer for short tokens so one allocation usually suffices.
+	n := len(LitmusPrefix)
+	for _, prog := range l.Progs {
+		n += 1 + 8*len(prog)
+	}
+	b := make([]byte, 0, n)
+	b = append(b, LitmusPrefix...)
 	for wi, prog := range l.Progs {
 		if wi > 0 {
-			b.WriteByte(';')
+			b = append(b, ';')
 		}
 		for i, op := range prog {
 			if i > 0 {
-				b.WriteByte(',')
+				b = append(b, ',')
 			}
 			switch op.Kind {
 			case LitmusAdd:
-				fmt.Fprintf(&b, "a%d", op.Var)
+				b = strconv.AppendInt(append(b, 'a'), int64(op.Var), 10)
 			case LitmusSet:
-				fmt.Fprintf(&b, "s%d.%d", op.Var, op.Val)
+				b = appendVarVal(append(b, 's'), op)
 			case LitmusWaitGE:
-				fmt.Fprintf(&b, "g%d.%d", op.Var, op.Val)
+				b = appendVarVal(append(b, 'g'), op)
 			case LitmusWaitEq:
-				fmt.Fprintf(&b, "e%d.%d", op.Var, op.Val)
+				b = appendVarVal(append(b, 'e'), op)
 			case LitmusWork:
-				fmt.Fprintf(&b, "c%d", op.Val)
+				b = strconv.AppendInt(append(b, 'c'), op.Val, 10)
 			}
 		}
 	}
-	return b.String()
+	return string(b)
+}
+
+// appendVarVal appends an op token's "<var>.<val>" tail.
+func appendVarVal(b []byte, op LitmusOp) []byte {
+	b = strconv.AppendInt(b, int64(op.Var), 10)
+	return strconv.AppendInt(append(b, '.'), op.Val, 10)
 }
 
 // DecodeLitmus parses an encoded litmus benchmark name. The encoding must

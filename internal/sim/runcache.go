@@ -54,9 +54,12 @@ type cacheQueueEntry struct {
 const defaultRunCacheCap = 8192
 
 var (
-	cacheMu    sync.Mutex
-	runCache   = map[string]*cacheEntry{}
-	cacheQueue []cacheQueueEntry // insertion order, guarded by cacheMu
+	cacheMu  sync.Mutex
+	runCache = map[string]*cacheEntry{}
+	// cacheQueue[cacheHead:] is the insertion order; the slots before
+	// cacheHead are zeroed. Both guarded by cacheMu.
+	cacheQueue []cacheQueueEntry
+	cacheHead  int
 	cacheCap   = defaultRunCacheCap
 
 	dedupeOff atomic.Bool
@@ -90,7 +93,7 @@ func CacheHits() uint64 { return cacheHits.Load() }
 func ResetCache() {
 	cacheMu.Lock()
 	runCache = map[string]*cacheEntry{}
-	cacheQueue = nil
+	cacheQueue, cacheHead = nil, 0
 	cacheMu.Unlock()
 	cacheHits.Store(0)
 }
@@ -100,28 +103,63 @@ func ResetCache() {
 // channel and the singleflight contract needs the map entry stable — so
 // the cache can transiently exceed the cap while everything resident is
 // in flight. Caller holds cacheMu.
+//
+// The cost is amortized O(1) per insert (times the handful of entries in
+// flight): the head advances over each evicted or stale slot, and an
+// in-flight entry it passes slides up one slot so it keeps its place in
+// the order. The queue is compacted once the head passes half its length,
+// or once stale slots (construction-error deletes) outnumber live ones.
 func evictLocked() {
-	if cacheCap <= 0 || len(runCache) <= cacheCap {
-		return
+	if over := len(runCache) - cacheCap; cacheCap > 0 && over > 0 {
+		// cacheQueue[head:i] holds the in-flight entries passed so far.
+		head := cacheHead
+		for i := head; over > 0 && i < len(cacheQueue); i++ {
+			qe := cacheQueue[i]
+			live := runCache[qe.key] == qe.e
+			if live && !qe.e.completed {
+				continue
+			}
+			if live {
+				delete(runCache, qe.key)
+				over--
+			}
+			copy(cacheQueue[head+1:i+1], cacheQueue[head:i])
+			cacheQueue[head] = cacheQueueEntry{}
+			head++
+		}
+		cacheHead = head
 	}
-	over := len(runCache) - cacheCap
-	kept := make([]cacheQueueEntry, 0, len(cacheQueue))
-	for i, qe := range cacheQueue {
-		if over <= 0 {
-			kept = append(kept, cacheQueue[i:]...)
-			break
+	if n := len(cacheQueue) - cacheHead; cacheHead > n || n > 2*len(runCache)+64 {
+		w := 0
+		for _, qe := range cacheQueue[cacheHead:] {
+			if runCache[qe.key] == qe.e {
+				cacheQueue[w] = qe
+				w++
+			}
 		}
-		if runCache[qe.key] != qe.e {
-			continue // stale slot: entry already gone or replaced
-		}
-		if !qe.e.completed {
-			kept = append(kept, qe)
-			continue
-		}
-		delete(runCache, qe.key)
-		over--
+		clear(cacheQueue[w:])
+		cacheQueue, cacheHead = cacheQueue[:w], 0
 	}
-	cacheQueue = kept
+}
+
+// insertLocked files a fresh in-flight entry for key at the tail of the
+// insertion order and evicts down to the cap. Caller holds cacheMu.
+func insertLocked(key string) *cacheEntry {
+	e := &cacheEntry{done: make(chan struct{})}
+	runCache[key] = e
+	cacheQueue = append(cacheQueue, cacheQueueEntry{key, e})
+	evictLocked()
+	return e
+}
+
+// dropFailedLocked removes a first arrival's entry after its construction
+// failed. Only its own entry goes: ResetCache may have swapped the map
+// mid-run and a fresh first arrival can own this key by now. The queue slot
+// goes stale and is skipped. Caller holds cacheMu.
+func dropFailedLocked(key string, e *cacheEntry) {
+	if runCache[key] == e {
+		delete(runCache, key)
+	}
 }
 
 // fingerprint canonically encodes a declarative Config, reporting ok=false
@@ -171,10 +209,7 @@ func runDeduped(cfg Config) (metrics.Result, error) {
 		// nothing was cached, so report the same failure afresh.
 		return metrics.Result{}, e.err
 	}
-	e = &cacheEntry{done: make(chan struct{})}
-	runCache[key] = e
-	cacheQueue = append(cacheQueue, cacheQueueEntry{key, e})
-	evictLocked()
+	e = insertLocked(key)
 	cacheMu.Unlock()
 
 	if h := testHookConstruct; h != nil {
@@ -185,11 +220,7 @@ func runDeduped(cfg Config) (metrics.Result, error) {
 		e.err = err
 		close(e.done)
 		cacheMu.Lock()
-		// Only drop our own entry: ResetCache may have swapped the map
-		// mid-run and a fresh first arrival can own this key by now.
-		if runCache[key] == e {
-			delete(runCache, key)
-		}
+		dropFailedLocked(key, e)
 		cacheMu.Unlock()
 		return metrics.Result{}, err
 	}

@@ -2,7 +2,9 @@ package sim
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 
 	"awgsim/internal/mem"
@@ -111,7 +113,7 @@ func TestRunCacheBounded(t *testing.T) {
 		}
 	}
 	cacheMu.Lock()
-	n, q := len(runCache), len(cacheQueue)
+	n, q := len(runCache), liveQueueLen()
 	cacheMu.Unlock()
 	if n != 4 || q != 4 {
 		t.Fatalf("cache holds %d entries (queue %d) after 8 runs at cap 4", n, q)
@@ -158,8 +160,8 @@ func TestEvictionSkipsInFlight(t *testing.T) {
 	if len(runCache) != 2 || runCache["k3"] == nil {
 		t.Fatalf("want in-flight k0 + newest k3 resident, have %d entries", len(runCache))
 	}
-	if len(cacheQueue) != 2 {
-		t.Fatalf("queue holds %d slots, want 2", len(cacheQueue))
+	if q := liveQueueLen(); q != 2 {
+		t.Fatalf("queue holds %d slots, want 2", q)
 	}
 }
 
@@ -241,5 +243,163 @@ func TestDedupeSingleflight(t *testing.T) {
 		if outs[i].Result != outs[0].Result {
 			t.Fatalf("duplicate %d diverged from first outcome", i)
 		}
+	}
+}
+
+// liveQueueLen reports the length of the insertion-order queue past its
+// head. Caller holds cacheMu.
+func liveQueueLen() int { return len(cacheQueue) - cacheHead }
+
+// fifoModel is the naive reference for the run cache's eviction: a list of
+// resident entries in insertion order, trimmed from the front by skipping
+// in-flight entries and removing completed ones until the cap holds.
+type fifoModel struct {
+	cap  int
+	list []*cacheEntry
+	keys map[*cacheEntry]string
+}
+
+func (m *fifoModel) evict() {
+	if m.cap <= 0 {
+		return
+	}
+	over := len(m.list) - m.cap
+	kept := m.list[:0:0]
+	for _, e := range m.list {
+		if over > 0 && e.completed {
+			over--
+			continue
+		}
+		kept = append(kept, e)
+	}
+	m.list = kept
+}
+
+func (m *fifoModel) remove(e *cacheEntry) {
+	for i, x := range m.list {
+		if x == e {
+			m.list = append(m.list[:i:i], m.list[i+1:]...)
+			return
+		}
+	}
+}
+
+// TestRunCacheEvictionMatchesFIFOModel drives the cache's internals with
+// random inserts, completions, construction-error deletes (singly and in
+// bursts), ResetCache and SetRunCacheCap changes, and after every step checks that the resident
+// entries, in queue order, are exactly the naive FIFO model's — so the
+// eviction order is the model's — and that the queue stays O(cap +
+// in-flight) long.
+func TestRunCacheEvictionMatchesFIFOModel(t *testing.T) {
+	defer SetRunCacheCap(defaultRunCacheCap)
+	defer ResetCache()
+	for seed := uint64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 0))
+		ResetCache()
+		SetRunCacheCap(1 + rng.IntN(16))
+		cacheMu.Lock()
+		m := &fifoModel{cap: cacheCap, keys: map[*cacheEntry]string{}}
+		cacheMu.Unlock()
+		var inflight []*cacheEntry // including entries orphaned by ResetCache
+		for step := 0; step < 3000; step++ {
+			cacheMu.Lock()
+			switch r := rng.IntN(100); {
+			case r < 55: // first arrival of a fingerprint
+				key := fmt.Sprintf("k%d", rng.IntN(64))
+				if runCache[key] != nil {
+					break // a duplicate: replays, no insert
+				}
+				e := insertLocked(key)
+				m.keys[e] = key
+				m.list = append(m.list, e)
+				m.evict()
+				inflight = append(inflight, e)
+			case r < 85 && len(inflight) > 0: // a run completes
+				i := rng.IntN(len(inflight))
+				inflight[i].completed = true
+				inflight = append(inflight[:i], inflight[i+1:]...)
+			case r < 95 && len(inflight) > 0: // construction error
+				i := rng.IntN(len(inflight))
+				e := inflight[i]
+				dropFailedLocked(m.keys[e], e)
+				m.remove(e)
+				inflight = append(inflight[:i], inflight[i+1:]...)
+			case r < 97: // a burst of first arrivals that all fail
+				for range rng.IntN(100) {
+					key := fmt.Sprintf("f%d", rng.IntN(1000))
+					if runCache[key] != nil {
+						continue
+					}
+					e := insertLocked(key)
+					m.list = append(m.list, e)
+					m.evict()
+					dropFailedLocked(key, e)
+					m.remove(e)
+				}
+			case r < 99 && rng.IntN(10) == 0:
+				cacheMu.Unlock()
+				ResetCache()
+				cacheMu.Lock()
+				m.list = nil
+			case r < 99:
+				n := rng.IntN(20) - 2
+				cacheMu.Unlock()
+				SetRunCacheCap(n)
+				cacheMu.Lock()
+				m.cap = n
+				m.evict()
+			}
+			var got []*cacheEntry
+			for _, qe := range cacheQueue[cacheHead:] {
+				if runCache[qe.key] == qe.e {
+					got = append(got, qe.e)
+				}
+			}
+			if len(got) != len(runCache) || !slices.Equal(got, m.list) {
+				cacheMu.Unlock()
+				t.Fatalf("seed %d step %d: resident entries %d (map %d) diverge from the FIFO model's %d",
+					seed, step, len(got), len(runCache), len(m.list))
+			}
+			dead := slices.Concat(cacheQueue[:cacheHead], cacheQueue[len(cacheQueue):cap(cacheQueue)])
+			for _, qe := range dead {
+				if qe != (cacheQueueEntry{}) {
+					cacheMu.Unlock()
+					t.Fatalf("seed %d step %d: a slot outside the live queue still holds %q", seed, step, qe.key)
+				}
+			}
+			if bound := 4*(max(m.cap, 0)+len(inflight)) + 130; m.cap > 0 && len(cacheQueue) > bound {
+				cacheMu.Unlock()
+				t.Fatalf("seed %d step %d: queue length %d exceeds %d (cap %d, %d in flight)",
+					seed, step, len(cacheQueue), bound, m.cap, len(inflight))
+			}
+			cacheMu.Unlock()
+		}
+	}
+}
+
+// BenchmarkRunCacheInsert times one first-arrival insert into a full cache
+// (an eviction each time); ns/insert must not grow with the cap.
+func BenchmarkRunCacheInsert(b *testing.B) {
+	for _, capN := range []int{64, 8192} {
+		b.Run(fmt.Sprintf("cap=%d", capN), func(b *testing.B) {
+			ResetCache()
+			SetRunCacheCap(capN)
+			defer SetRunCacheCap(defaultRunCacheCap)
+			defer ResetCache()
+			// A key comes back 2*cap+1 inserts later, long after its eviction.
+			keys := make([]string, 2*capN+1)
+			for i := range keys {
+				keys[i] = fmt.Sprintf("k%d", i)
+			}
+			cacheMu.Lock()
+			defer cacheMu.Unlock()
+			for i := 0; i < capN; i++ {
+				insertLocked(keys[i]).completed = true
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				insertLocked(keys[(capN+i)%len(keys)]).completed = true
+			}
+		})
 	}
 }

@@ -40,14 +40,16 @@ type addrState struct {
 	count      int32
 }
 
-// condStore is the SyncMon condition cache's storage: a fixed-capacity
-// condition slab (Sets x Ways, the paper's cache geometry) with flat
-// per-set occupancy arrays, a waiter slab bounded by the waiting-WG list
-// size, and an open-addressed address index. Every list is intrusive and
-// freelist-backed: registering, waking and evicting touch no allocator
-// and no Go map, and every order the old map-based representation exposed
-// (set scan order, per-address registration order, waiter FIFO) is
-// preserved by construction.
+// condStore is the SyncMon condition cache's storage: a condition slab
+// bounded by Sets x Ways (the paper's cache geometry) with flat per-set
+// occupancy arrays, a waiter slab bounded by the waiting-WG list size, and
+// an open-addressed address index. The slabs start empty and grow by append
+// as the run touches them, so a session pays for the conditions it holds,
+// not for the full geometry. Every list is intrusive and freelist-backed:
+// once warm, registering, waking and evicting touch no allocator and no Go
+// map, and every order the old map-based representation exposed (set scan
+// order, per-address registration order, waiter FIFO) is preserved by
+// construction.
 type condStore struct {
 	stride int     // ways per set at construction (Degrade only shrinks use)
 	setEnt []int32 // sets x stride resident refs, insertion order
@@ -62,14 +64,12 @@ type condStore struct {
 	byAddr *hashutil.Flat[mem.Addr, addrState]
 }
 
-func newCondStore(sets, ways, waitList int) condStore {
+func newCondStore(sets, ways int) condStore {
 	return condStore{
 		stride:  ways,
 		setEnt:  make([]int32, sets*ways),
 		setLen:  make([]int32, sets),
-		ents:    make([]condSlot, 0, sets*ways),
 		freeEnt: nilRef,
-		wnodes:  make([]waiterSlot, 0, waitList),
 		freeW:   nilRef,
 		byAddr: hashutil.NewFlat[mem.Addr, addrState](64, func(a mem.Addr) uint64 {
 			return hashutil.Mix64(uint64(a))
@@ -77,9 +77,9 @@ func newCondStore(sets, ways, waitList int) condStore {
 	}
 }
 
-// at returns the slot for ref e; the pointer is stable for the slab's
-// lifetime (capacity is fixed at construction, so the backing array never
-// moves).
+// at returns the slot for ref e. The pointer is valid until the next
+// insert, whose append may move the condition slab; no caller holds one
+// across an insert (pushWaiter grows only the waiter slab).
 func (cs *condStore) at(e int32) *condSlot { return &cs.ents[e] }
 
 // setSize reports set si's occupancy.

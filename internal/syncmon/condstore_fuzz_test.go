@@ -124,7 +124,7 @@ func FuzzCondStore(f *testing.F) {
 	f.Add([]byte{0, 1, 1, 1, 2, 0, 5, 2, 2, 1, 3, 0, 4, 0, 5, 0, 7, 6, 0, 1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const sets, ways = 4, 2
-		cs := newCondStore(sets, ways, 8)
+		cs := newCondStore(sets, ways)
 		o := condOracle{sets: make([][]*oCond, sets), byAddr: map[mem.Addr][]*oCond{}}
 		var live []*oCond
 		var refs []int32

@@ -80,17 +80,15 @@ func (cs *condStore) snapshot() storeSnap {
 	}
 }
 
-// restore overwrites the store's slabs from the snapshot. The slabs'
-// backing arrays are fixed-capacity (pointer stability), so shrinking back
-// to the snapshot length reuses them and allocates nothing.
+// restore overwrites the store's slabs from the snapshot, reusing their
+// backing arrays when the snapshot fits and growing them when it does not
+// (a snapshot can hold more slots than a fresh store has touched).
 func (cs *condStore) restore(sn *storeSnap) {
 	copy(cs.setEnt, sn.setEnt)
 	copy(cs.setLen, sn.setLen)
-	cs.ents = cs.ents[:len(sn.ents)]
-	copy(cs.ents, sn.ents)
+	cs.ents = append(cs.ents[:0], sn.ents...)
 	cs.freeEnt = sn.freeEnt
-	cs.wnodes = cs.wnodes[:len(sn.wnodes)]
-	copy(cs.wnodes, sn.wnodes)
+	cs.wnodes = append(cs.wnodes[:0], sn.wnodes...)
 	cs.freeW = sn.freeW
 	cs.byAddr.CopyFrom(sn.byAddr)
 }
@@ -102,14 +100,13 @@ func (sn *storeSnap) bytes() int {
 
 // logSnap is a point-in-time copy of the Monitor Log ring. Only the
 // occupied span [head, head+size) is stored, unwrapped: every ring reader
-// stays inside that span, so slots outside it are dead storage a restore
-// can leave stale. ringCap keeps the live ring's capacity so bytes()
-// reports the same footprint a dense copy would.
+// stays inside that span, so slots outside it are dead storage. ringCap
+// keeps the log's configured capacity so bytes() reports the footprint of
+// the full in-memory ring, however far the host ring has grown.
 type logSnap struct {
 	ringCap int
 	entries []LogEntry // size entries, unwrapped from head
 	dead    []bool
-	head    int
 	size    int
 	live    int
 	maxLive int
@@ -117,8 +114,7 @@ type logSnap struct {
 
 func (l *MonitorLog) snapshot() logSnap {
 	sn := logSnap{
-		ringCap: len(l.entries),
-		head:    l.head,
+		ringCap: l.limit,
 		size:    l.size,
 		live:    l.live,
 		maxLive: l.maxLive,
@@ -135,13 +131,16 @@ func (l *MonitorLog) snapshot() logSnap {
 	return sn
 }
 
+// restore lays the snapshot's span out unwrapped from slot 0, growing the
+// host ring first when the span does not fit.
 func (l *MonitorLog) restore(sn *logSnap) {
-	for k := 0; k < sn.size; k++ {
-		idx := (sn.head + k) % len(l.entries)
-		l.entries[idx] = sn.entries[k]
-		l.dead[idx] = sn.dead[k]
+	if sn.size > len(l.entries) {
+		n := min(max(sn.size, 2*len(l.entries), logMinRing), l.limit)
+		l.entries, l.dead = make([]LogEntry, n), make([]bool, n)
 	}
-	l.head, l.size, l.live, l.maxLive = sn.head, sn.size, sn.live, sn.maxLive
+	copy(l.entries, sn.entries)
+	copy(l.dead, sn.dead)
+	l.head, l.size, l.live, l.maxLive = 0, sn.size, sn.live, sn.maxLive
 }
 
 func (sn *logSnap) bytes() int { return 33*sn.ringCap + 24 }

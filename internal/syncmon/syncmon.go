@@ -117,25 +117,42 @@ type LogEntry struct {
 }
 
 // MonitorLog is the circular buffer in global memory the SyncMon spills to
-// and the CP drains.
+// and the CP drains. Its capacity is the configured limit; the host ring
+// behind it starts empty and doubles on demand up to that limit, so a run
+// that never spills allocates nothing for it.
 type MonitorLog struct {
 	entries []LogEntry
 	dead    []bool
+	limit   int // configured capacity: Push refuses at this occupancy
 	head    int
 	size    int // occupied ring slots, tombstones included (gates Push)
 	live    int // non-tombstoned entries
 	maxLive int // high-water mark of live
 }
 
+// logMinRing is the host ring's first allocation.
+const logMinRing = 16
+
 // NewMonitorLog builds a log with the given capacity.
 func NewMonitorLog(capacity int) *MonitorLog {
-	return &MonitorLog{entries: make([]LogEntry, capacity), dead: make([]bool, capacity)}
+	return &MonitorLog{limit: capacity}
 }
 
 // Push appends an entry; it reports false when the log is full.
 func (l *MonitorLog) Push(e LogEntry) bool {
-	if l.size == len(l.entries) {
+	if l.size == l.limit {
 		return false
+	}
+	if l.size == len(l.entries) {
+		// The ring is full below the limit: double it, laying the occupied
+		// span out unwrapped from slot 0.
+		n := min(max(2*len(l.entries), logMinRing), l.limit)
+		entries, dead := make([]LogEntry, n), make([]bool, n)
+		for k := 0; k < l.size; k++ {
+			idx := (l.head + k) % len(l.entries)
+			entries[k], dead[k] = l.entries[idx], l.dead[idx]
+		}
+		l.entries, l.dead, l.head = entries, dead, 0
 	}
 	tail := (l.head + l.size) % len(l.entries)
 	l.entries[tail] = e
@@ -227,7 +244,7 @@ func New(cfg Config, m *gpu.Machine, selector ResumeSelector, wake WakeFunc) (*S
 		cfg:      cfg,
 		m:        m,
 		hash:     hashutil.NewUniversal(cfg.Seed, max(cfg.Sets, 1)),
-		store:    newCondStore(max(cfg.Sets, 1), cfg.Ways, cfg.WaitListSize),
+		store:    newCondStore(max(cfg.Sets, 1), cfg.Ways),
 		log:      NewMonitorLog(cfg.LogCapacity),
 		selector: selector,
 		wake:     wake,

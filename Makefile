@@ -44,8 +44,9 @@ lint-fix:
 # streams diffed against a map-based oracle of the slab condition store,
 # fuzzed snapshot/restore cuts that must replay bit-identically, the
 # litmus shrinker driven against abstract progress-model oracles, and
-# random IR programs run through both exec modes (inline interpreter vs
-# goroutine oracle) with results and final memory diffed.
+# random IR programs run on one WG with final registers and memory diffed
+# against an untimed reference interpreter of the IR's semantics (and on
+# eight WGs, which must complete deterministically).
 fuzz:
 	$(GO) test ./internal/fault -fuzz FuzzSchedule -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/event -fuzz FuzzCalendar -fuzztime 5s -run '^$$'
@@ -55,21 +56,17 @@ fuzz:
 	$(GO) test ./internal/litmus -fuzz FuzzLitmusShrink -fuzztime 5s -run '^$$'
 	$(GO) test ./internal/gpu -fuzz FuzzProgIR -fuzztime 5s -run '^$$'
 
-# golden runs the quick experiment suite four ways — the fork planner vs
-# -no-fork, and the inline IR interpreter (the default) vs the goroutine
-# runtime — checks each against the committed golden record, and diffs the
-# runs' records byte-for-byte: a forked sweep must be indistinguishable
-# from a cold one, and the two exec modes from each other. After an
-# intentional model change: `go run ./cmd/awgexp -quick -golden
-# GOLDEN_quick.json -update-golden`. The intermediate records are kept on
-# failure for diffing.
+# golden runs the quick experiment suite twice — with the fork planner and
+# with -no-fork — checks each against the committed golden record, and
+# diffs the two runs' records byte-for-byte: a forked sweep must be
+# indistinguishable from a cold one. After an intentional model change:
+# `go run ./cmd/awgexp -quick -golden GOLDEN_quick.json -update-golden`.
+# The intermediate records are kept on failure for diffing.
 golden:
 	$(GO) run ./cmd/awgexp -quick -golden GOLDEN_quick.json -golden-out .golden_forked.json > /dev/null
 	$(GO) run ./cmd/awgexp -quick -no-fork -golden GOLDEN_quick.json -golden-out .golden_unforked.json > /dev/null
-	$(GO) run ./cmd/awgexp -quick -exec goroutine -golden GOLDEN_quick.json -golden-out .golden_goroutine.json > /dev/null
 	cmp .golden_forked.json .golden_unforked.json
-	cmp .golden_forked.json .golden_goroutine.json
-	@rm -f .golden_forked.json .golden_unforked.json .golden_goroutine.json
+	@rm -f .golden_forked.json .golden_unforked.json
 
 # litmus-quick regenerates the quick litmus conformance sweep and checks
 # it against its own golden record (the sweep also runs inside the main

@@ -1,6 +1,10 @@
 package event
 
-import "testing"
+import (
+	"testing"
+
+	"awgsim/internal/hashutil"
+)
 
 // runByteWorkload interprets data as an op stream against c and returns the
 // firing trace. The encoding is deliberately dense so the fuzzer can reach
@@ -27,7 +31,7 @@ func runByteWorkload(c calendar, data []byte) []firing {
 			if stop {
 				c.Stop()
 			}
-			if splitmix(&crng)%4 == 0 {
+			if hashutil.Next(&crng)%4 == 0 {
 				cid := nextID
 				nextID++
 				cd := randDelta(&crng)

@@ -4,6 +4,8 @@ import (
 	"container/heap"
 	"fmt"
 	"testing"
+
+	"awgsim/internal/hashutil"
 )
 
 // oracleEngine is the pre-overhaul calendar — a container/heap of closures —
@@ -127,28 +129,20 @@ var (
 	_ calendar = (*oracleEngine)(nil)
 )
 
-func splitmix(x *uint64) uint64 {
-	*x += 0x9e3779b97f4a7c15
-	z := *x
-	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
-	z = (z ^ z>>27) * 0x94d049bb133111eb
-	return z ^ z>>31
-}
-
 // randDelta draws a delay spanning every calendar region: same-cycle, the
 // near wheel, the far wheel, and the overflow heap.
 func randDelta(rng *uint64) Cycle {
-	switch splitmix(rng) % 10 {
+	switch hashutil.Next(rng) % 10 {
 	case 0:
 		return 0
 	case 1, 2, 3, 4:
-		return Cycle(splitmix(rng) % 256)
+		return Cycle(hashutil.Next(rng) % 256)
 	case 5, 6, 7:
-		return Cycle(256 + splitmix(rng)%65_000)
+		return Cycle(256 + hashutil.Next(rng)%65_000)
 	case 8:
-		return Cycle(65_536 + splitmix(rng)%500_000)
+		return Cycle(65_536 + hashutil.Next(rng)%500_000)
 	default:
-		return Cycle(splitmix(rng) % 16)
+		return Cycle(hashutil.Next(rng) % 16)
 	}
 }
 
@@ -176,23 +170,23 @@ func runWorkload(c calendar, seed uint64) []firing {
 			// Children reseed from the id so both engines make identical
 			// decisions regardless of host state.
 			crng := seed ^ (id+1)*0x9e3779b97f4a7c15
-			n := splitmix(&crng) % 3
+			n := hashutil.Next(&crng) % 3
 			for i := uint64(0); i < n && depth > 0; i++ {
 				cid := nextID
 				nextID++
 				cd := randDelta(&crng)
 				cbody := func() { trace = append(trace, firing{c.Now(), cid}) }
-				if splitmix(&crng)%2 == 0 {
+				if hashutil.Next(&crng)%2 == 0 {
 					c.After(cd, cbody)
 				} else {
 					c.At(c.Now()+cd, cbody)
 				}
 			}
-			if depth > 0 && splitmix(&crng)%16 == 0 {
+			if depth > 0 && hashutil.Next(&crng)%16 == 0 {
 				c.Stop()
 			}
 		}
-		if splitmix(&rng)%2 == 0 {
+		if hashutil.Next(&rng)%2 == 0 {
 			c.After(d, body)
 		} else {
 			c.At(c.Now()+d, body)
@@ -200,18 +194,18 @@ func runWorkload(c calendar, seed uint64) []firing {
 	}
 
 	for round := 0; round < 40; round++ {
-		for i := uint64(0); i < splitmix(&rng)%8; i++ {
+		for i := uint64(0); i < hashutil.Next(&rng)%8; i++ {
 			schedule(1)
 		}
-		switch splitmix(&rng) % 6 {
+		switch hashutil.Next(&rng) % 6 {
 		case 0:
 			c.Step()
 		case 1:
-			c.SetEventBudget(c.Executed() + splitmix(&rng)%64 + 1)
-			c.RunUntil(c.Now() + Cycle(splitmix(&rng)%200_000))
+			c.SetEventBudget(c.Executed() + hashutil.Next(&rng)%64 + 1)
+			c.RunUntil(c.Now() + Cycle(hashutil.Next(&rng)%200_000))
 			c.SetEventBudget(0)
 		default:
-			c.RunUntil(c.Now() + Cycle(splitmix(&rng)%200_000))
+			c.RunUntil(c.Now() + Cycle(hashutil.Next(&rng)%200_000))
 		}
 		trace = append(trace, firing{c.Now(), ^uint64(c.Pending())})
 		if c.NextEventAt() != Never {

@@ -20,6 +20,7 @@ import (
 	"awgsim/internal/cp"
 	"awgsim/internal/event"
 	"awgsim/internal/gpu"
+	"awgsim/internal/hashutil"
 	"awgsim/internal/syncmon"
 )
 
@@ -191,7 +192,7 @@ func Arm(m *gpu.Machine, sched Schedule) error {
 					if e.MaxSkew == 0 {
 						return base
 					}
-					return base + event.Cycle(splitmix(state)%uint64(e.MaxSkew))
+					return base + event.Cycle(hashutil.Next(state)%uint64(e.MaxSkew))
 				}, e.Seed)
 			})
 		}
@@ -285,7 +286,7 @@ func armOneReserved(m *gpu.Machine, e Event, seq uint64) {
 				if e.MaxSkew == 0 {
 					return base
 				}
-				return base + event.Cycle(splitmix(state)%uint64(e.MaxSkew))
+				return base + event.Cycle(hashutil.Next(state)%uint64(e.MaxSkew))
 			}, e.Seed)
 		}
 	}
@@ -318,17 +319,6 @@ func ArmReservedAfter(m *gpu.Machine, sched Schedule, seqBase uint64, after even
 		seq++
 	}
 	return nil
-}
-
-// splitmix advances a splitmix64 state and returns the next value — the
-// same generator the machine's jitter stream uses, so fault randomness is
-// deterministic and seed-addressable.
-func splitmix(state *uint64) uint64 {
-	*state += 0x9e3779b97f4a7c15
-	x := *state
-	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
-	x = (x ^ x>>27) * 0x94d049bb133111eb
-	return x ^ x>>31
 }
 
 // Scripted returns the canonical hand-written schedules, scaled to a
@@ -397,7 +387,7 @@ func Random(seed uint64, numCUs int, base, span event.Cycle) Schedule {
 	if span == 0 {
 		span = 1
 	}
-	n := 6 + int(splitmix(&state)%7) // 6..12 events
+	n := 6 + int(hashutil.Next(&state)%7) // 6..12 events
 	enabled := make([]bool, numCUs)
 	for i := range enabled {
 		enabled[i] = true
@@ -413,13 +403,13 @@ func Random(seed uint64, numCUs int, base, span event.Cycle) Schedule {
 		div = 2
 	}
 	for i := 0; i < n; i++ {
-		at += event.Cycle(splitmix(&state) % uint64(div))
-		switch splitmix(&state) % 4 {
+		at += event.Cycle(hashutil.Next(&state) % uint64(div))
+		switch hashutil.Next(&state) % 4 {
 		case 0: // lose a random enabled CU, keeping one alive
 			if numEnabled < 2 {
 				continue
 			}
-			k := int(splitmix(&state) % uint64(numCUs))
+			k := int(hashutil.Next(&state) % uint64(numCUs))
 			for !enabled[k] {
 				k = (k + 1) % numCUs
 			}
@@ -430,7 +420,7 @@ func Random(seed uint64, numCUs int, base, span event.Cycle) Schedule {
 			if numEnabled == numCUs {
 				continue
 			}
-			k := int(splitmix(&state) % uint64(numCUs))
+			k := int(hashutil.Next(&state) % uint64(numCUs))
 			for enabled[k] {
 				k = (k + 1) % numCUs
 			}
@@ -443,8 +433,8 @@ func Random(seed uint64, numCUs int, base, span event.Cycle) Schedule {
 			// means (WaitListSize 0 is reserved for the uncached-monitor
 			// policy variants). Floor the draw at one entry; the ways draw
 			// stays first so schedules that never drew 0 are unchanged.
-			ways := 1 + int(splitmix(&state)%4)
-			wl := int(splitmix(&state) % 64)
+			ways := 1 + int(hashutil.Next(&state)%4)
+			wl := int(hashutil.Next(&state) % 64)
 			if wl == 0 {
 				wl = 1
 			}
@@ -455,8 +445,8 @@ func Random(seed uint64, numCUs int, base, span event.Cycle) Schedule {
 		default: // jitter the CP cadence
 			s.Events = append(s.Events, Event{
 				At: at, Op: JitterCP,
-				Seed:    splitmix(&state),
-				MaxSkew: event.Cycle(splitmix(&state) % 64_000),
+				Seed:    hashutil.Next(&state),
+				MaxSkew: event.Cycle(hashutil.Next(&state) % 64_000),
 			})
 		}
 	}

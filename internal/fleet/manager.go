@@ -8,8 +8,8 @@
 // The layer's point is the paper's invariant at datacenter scale: a
 // policy that guarantees independent forward progress of work-groups
 // should survive device churn — mid-kernel work-groups migrate off a lost
-// device (checkpoint restore + live-state transplant + response-log
-// replay) and the run still completes — while Baseline-style busy-wait
+// device (checkpoint restore + live-state transplant, each WG's frame
+// copied back in place) and the run still completes — while Baseline-style busy-wait
 // policies hang and must be *diagnosed*, not merely time out. The SLO
 // checker in slo.go promotes fault.CheckOutcome to that fleet contract.
 package fleet

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"awgsim/internal/event"
+	"awgsim/internal/hashutil"
 )
 
 // Kind classifies a fleet-plane health event.
@@ -202,7 +203,7 @@ func Random(seed uint64, numDevices, floor int, base, span event.Cycle) Schedule
 	if floor < 1 {
 		floor = 1
 	}
-	n := 4 + int(splitmix(&state)%5) // 4..8 events
+	n := 4 + int(hashutil.Next(&state)%5) // 4..8 events
 	onBus := make([]bool, numDevices)
 	for i := range onBus {
 		onBus[i] = true
@@ -217,13 +218,13 @@ func Random(seed uint64, numDevices, floor int, base, span event.Cycle) Schedule
 		div = 2
 	}
 	for i := 0; i < n; i++ {
-		at += event.Cycle(splitmix(&state) % uint64(div))
-		switch splitmix(&state) % 4 {
+		at += event.Cycle(hashutil.Next(&state) % uint64(div))
+		switch hashutil.Next(&state) % 4 {
 		case 0: // lose a random on-bus device, keeping the floor
 			if numOn <= floor {
 				continue
 			}
-			k := int(splitmix(&state) % uint64(numDevices))
+			k := int(hashutil.Next(&state) % uint64(numDevices))
 			for !onBus[k] {
 				k = (k + 1) % numDevices
 			}
@@ -234,7 +235,7 @@ func Random(seed uint64, numDevices, floor int, base, span event.Cycle) Schedule
 			if numOn == numDevices {
 				continue
 			}
-			k := int(splitmix(&state) % uint64(numDevices))
+			k := int(hashutil.Next(&state) % uint64(numDevices))
 			for onBus[k] {
 				k = (k + 1) % numDevices
 			}
@@ -244,28 +245,17 @@ func Random(seed uint64, numDevices, floor int, base, span event.Cycle) Schedule
 		case 2: // derate a random device (or clear it)
 			s.Events = append(s.Events, Event{
 				At: at, Kind: ThermalThrottle,
-				Device: int(splitmix(&state) % uint64(numDevices)),
-				Scale:  1 + int(splitmix(&state)%3),
+				Device: int(hashutil.Next(&state) % uint64(numDevices)),
+				Scale:  1 + int(hashutil.Next(&state)%3),
 			})
 		default: // poison a small page range
 			s.Events = append(s.Events, Event{
 				At: at, Kind: ECCError,
-				Device: int(splitmix(&state) % uint64(numDevices)),
-				Page:   splitmix(&state) % 16,
-				Pages:  1 + int(splitmix(&state)%4),
+				Device: int(hashutil.Next(&state) % uint64(numDevices)),
+				Page:   hashutil.Next(&state) % 16,
+				Pages:  1 + int(hashutil.Next(&state)%4),
 			})
 		}
 	}
 	return s
-}
-
-// splitmix advances a splitmix64 state and returns the next value — the
-// same generator the machine's jitter stream and fault.Random use, so
-// fleet randomness is deterministic and seed-addressable.
-func splitmix(state *uint64) uint64 {
-	*state += 0x9e3779b97f4a7c15
-	x := *state
-	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
-	x = (x ^ x>>27) * 0x94d049bb133111eb
-	return x ^ x>>31
 }

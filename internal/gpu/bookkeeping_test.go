@@ -8,6 +8,7 @@ import (
 
 	"awgsim/internal/event"
 	"awgsim/internal/mem"
+	"awgsim/internal/prog"
 )
 
 // This file checks the machine's O(1) per-operation bookkeeping against
@@ -113,27 +114,25 @@ func (p *stallPolicy) Wait(w *WG, v Var, op AtomicOp, a, b, want int64, cmp Cmp,
 func stallEvictMachine(t *testing.T) (*Machine, *stallPolicy, KernelHandle) {
 	t.Helper()
 	const flag = mem.Addr(0x8000)
-	spec := &KernelSpec{
-		Name: "stall-tally", NumWGs: 16, WIsPerWG: 256,
-		Program: func(d Device) {
-			if d.ID() == 0 {
-				for i := 0; i < 4; i++ {
-					d.Compute(20_000)
-					d.AtomicAdd(GlobalVar(flag), 1)
-				}
-				return
-			}
-			d.Compute(event.Cycle(500 * (1 + int(d.ID())%5)))
-			d.AwaitEq(GlobalVar(flag), 4)
-			d.Compute(2_000)
-		},
-	}
+	spec := irKernel("stall-tally", 16, func(b *prog.Builder) {
+		v := b.GVar(uint64(flag))
+		ifWG0(b, func() {
+			repeat(b, 4, func(prog.Src) {
+				b.Compute(prog.Imm(20_000))
+				b.AtomicAddX(v, prog.Imm(1))
+			})
+		}, func() {
+			id := b.Geom(prog.GeomID)
+			b.Compute(b.Mul(prog.Imm(500), b.Add(prog.Imm(1), b.Mod(id, prog.Imm(5)))))
+			b.AwaitEq(v, prog.Imm(4))
+			b.Compute(prog.Imm(2_000))
+		})
+	})
+	spec.WIsPerWG = 256
 	pol := &stallPolicy{}
 	m := newTestMachine(t, testConfig(), spec, pol)
-	hp := &KernelSpec{
-		Name: "hp-tally", NumWGs: 4, WIsPerWG: 128,
-		Program: func(d Device) { d.Compute(6_000) },
-	}
+	hp := irKernel("hp-tally", 4, computeOnly(6_000))
+	hp.WIsPerWG = 128
 	h, err := m.InjectKernel(hp, 12_000, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +174,6 @@ func TestIssueTallyOracleSnapshotRestore(t *testing.T) {
 	_, want := finishChecked(t, ref)
 
 	m, _, _ := stallEvictMachine(t)
-	m.SetResponseLogging(true)
 	m.Prepare()
 	runChecked(t, m, 15_000)
 	snap := m.Snapshot()
@@ -193,7 +191,7 @@ func TestIssueTallyOracleSnapshotRestore(t *testing.T) {
 // an episode it already has open: the restarted episode counts only the
 // updates after its second charBegin, and other episodes are unaffected.
 func TestCharEpisodeRestart(t *testing.T) {
-	spec := &KernelSpec{Name: "char", NumWGs: 2, WIsPerWG: 64, Program: func(Device) {}}
+	spec := irKernel("char", 2, noop)
 	m := newTestMachine(t, testConfig(), spec, nil)
 	au := m.atomics.(*atomicUnit)
 	v := GlobalVar(0x8000)
@@ -230,21 +228,19 @@ func TestCharEpisodeRestart(t *testing.T) {
 // restored run's Table 2 UpdatesPerCond must equal an uninterrupted run's.
 func TestCharSnapshotMidEpisode(t *testing.T) {
 	const flag = mem.Addr(0x8000)
-	spec := &KernelSpec{
-		Name: "char-snap", NumWGs: 6, WIsPerWG: 64,
-		Program: func(d Device) {
-			if d.ID() == 0 {
-				for i := 0; i < 6; i++ {
-					d.Compute(3_000)
-					d.AtomicAdd(GlobalVar(flag), 1)
-				}
-				return
-			}
+	spec := irKernel("char-snap", 6, func(b *prog.Builder) {
+		v := b.GVar(uint64(flag))
+		ifWG0(b, func() {
+			repeat(b, 6, func(prog.Src) {
+				b.Compute(prog.Imm(3_000))
+				b.AtomicAddX(v, prog.Imm(1))
+			})
+		}, func() {
 			// Staggered starts: episodes open at different update counts.
-			d.Compute(event.Cycle(2_500 * int(d.ID())))
-			d.AwaitEq(GlobalVar(flag), 6)
-		},
-	}
+			b.Compute(b.Mul(prog.Imm(2_500), b.Geom(prog.GeomID)))
+			b.AwaitEq(v, prog.Imm(6))
+		})
+	})
 	ref := newTestMachine(t, testConfig(), spec, nil)
 	want := ref.Run().VarStats.UpdatesPerCond
 	if want == 0 {
@@ -252,7 +248,6 @@ func TestCharSnapshotMidEpisode(t *testing.T) {
 	}
 
 	m := newTestMachine(t, testConfig(), spec, nil)
-	m.SetResponseLogging(true)
 	m.Prepare()
 	au := m.atomics.(*atomicUnit)
 	c := func() *varChar { return au.charFor(GlobalVar(flag)) }
@@ -281,10 +276,10 @@ func TestCharSnapshotMidEpisode(t *testing.T) {
 // operation.
 func TestReadyQueueOrderMatchesFullSort(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
-		spec := &KernelSpec{Name: "rq", NumWGs: 10, WIsPerWG: 64, Program: func(Device) {}}
+		spec := irKernel("rq", 10, noop)
 		m := newTestMachine(t, testConfig(), spec, nil)
 		for pri := 1; pri <= 2; pri++ {
-			hp := &KernelSpec{Name: fmt.Sprint("rq-hp", pri), NumWGs: 5, WIsPerWG: 64, Program: func(Device) {}}
+			hp := irKernel(fmt.Sprint("rq-hp", pri), 5, noop)
 			if _, err := m.InjectKernel(hp, 1_000, pri); err != nil {
 				t.Fatal(err)
 			}
@@ -342,16 +337,13 @@ func BenchmarkComputeIssue(b *testing.B) {
 		b.Run(fmt.Sprintf("resident=%d", resident), func(b *testing.B) {
 			cfg := DefaultConfig()
 			cfg.NumCUs = 1
-			spec := &KernelSpec{
-				Name: "compute-issue", NumWGs: resident, WIsPerWG: 64,
-				Program: func(d Device) {
-					if d.ID() == 0 {
-						d.Compute(1 << 60)
-						return
-					}
-					d.AwaitEq(GlobalVar(0x8000), 1)
-				},
-			}
+			spec := irKernel("compute-issue", resident, func(b *prog.Builder) {
+				ifWG0(b, func() {
+					b.Compute(prog.Imm(1 << 60))
+				}, func() {
+					b.AwaitEq(b.GVar(0x8000), prog.Imm(1))
+				})
+			})
 			m, err := NewMachine(cfg, mem.DefaultConfig(), spec, parkPolicy{})
 			if err != nil {
 				b.Fatal(err)

@@ -5,6 +5,7 @@ import (
 
 	"awgsim/internal/event"
 	"awgsim/internal/mem"
+	"awgsim/internal/prog"
 )
 
 // TestRepeatedPreemptRestoreAccounting flaps both CUs through six
@@ -54,18 +55,17 @@ func flappingMachine(t *testing.T) (*Machine, Config) {
 	t.Helper()
 	const flag = mem.Addr(0x8000)
 	cfg := testConfig() // 2 CUs, 4 WGs/CU
-	spec := &KernelSpec{
-		Name: "flap-accounting", NumWGs: 16, WIsPerWG: 64, LDSBytes: 1024,
-		Program: func(d Device) {
-			if d.ID() == 0 {
-				d.Compute(120_000)
-				d.AtomicStore(GlobalVar(flag), 1)
-				return
-			}
-			d.Compute(1_000)
-			d.AwaitEq(GlobalVar(flag), 1)
-		},
-	}
+	spec := irKernel("flap-accounting", 16, func(b *prog.Builder) {
+		v := b.GVar(uint64(flag))
+		ifWG0(b, func() {
+			b.Compute(prog.Imm(120_000))
+			b.AtomicStore(v, prog.Imm(1))
+		}, func() {
+			b.Compute(prog.Imm(1_000))
+			b.AwaitEq(v, prog.Imm(1))
+		})
+	})
+	spec.LDSBytes = 1024
 	m := newTestMachine(t, cfg, spec, &yieldPolicy{})
 	// Odd, co-prime strides so the outages drift across every phase of the
 	// atomic and context-switch pipelines over the rounds. The two CUs'

@@ -5,6 +5,7 @@ import (
 
 	"awgsim/internal/event"
 	"awgsim/internal/mem"
+	"awgsim/internal/prog"
 )
 
 // spinPolicy is a minimal busy-wait policy for machine tests.
@@ -73,7 +74,7 @@ func newTestMachine(t *testing.T, cfg Config, spec *KernelSpec, pol Policy) *Mac
 }
 
 func TestMachineValidation(t *testing.T) {
-	spec := &KernelSpec{Name: "k", NumWGs: 1, WIsPerWG: 64, Program: func(Device) {}}
+	spec := irKernel("k", 1, noop)
 	if _, err := NewMachine(testConfig(), mem.DefaultConfig(), spec, nil); err == nil {
 		t.Error("nil policy accepted")
 	}
@@ -88,14 +89,11 @@ func TestMachineValidation(t *testing.T) {
 }
 
 func TestTrivialKernelCompletes(t *testing.T) {
-	ran := make([]bool, 8)
-	spec := &KernelSpec{
-		Name: "trivial", NumWGs: 8, WIsPerWG: 64,
-		Program: func(d Device) {
-			d.Compute(100)
-			ran[d.ID()] = true
-		},
-	}
+	const ranBase = mem.Addr(0x800)
+	spec := irKernel("trivial", 8, func(b *prog.Builder) {
+		b.Compute(prog.Imm(100))
+		b.Store(wgWord(b, ranBase, 8), prog.Imm(1))
+	})
 	m := newTestMachine(t, testConfig(), spec, nil)
 	res := m.Run()
 	if res.Deadlocked {
@@ -104,8 +102,8 @@ func TestTrivialKernelCompletes(t *testing.T) {
 	if res.Completed != 8 {
 		t.Fatalf("completed %d WGs, want 8", res.Completed)
 	}
-	for i, r := range ran {
-		if !r {
+	for i := 0; i < 8; i++ {
+		if m.Mem().Read(resultWord(ranBase, i)) != 1 {
 			t.Errorf("WG %d never ran", i)
 		}
 	}
@@ -115,7 +113,7 @@ func TestTrivialKernelCompletes(t *testing.T) {
 }
 
 func TestRunTwicePanics(t *testing.T) {
-	spec := &KernelSpec{Name: "k", NumWGs: 1, WIsPerWG: 64, Program: func(d Device) {}}
+	spec := irKernel("k", 1, noop)
 	m := newTestMachine(t, testConfig(), spec, nil)
 	m.Run()
 	defer func() {
@@ -128,14 +126,9 @@ func TestRunTwicePanics(t *testing.T) {
 
 func TestAtomicAddAccumulates(t *testing.T) {
 	const counter = mem.Addr(0x1000)
-	spec := &KernelSpec{
-		Name: "adders", NumWGs: 8, WIsPerWG: 64,
-		Program: func(d Device) {
-			for i := 0; i < 10; i++ {
-				d.AtomicAdd(GlobalVar(counter), 1)
-			}
-		},
-	}
+	spec := irKernel("adders", 8, func(b *prog.Builder) {
+		repeat(b, 10, func(prog.Src) { b.AtomicAddX(b.GVar(uint64(counter)), prog.Imm(1)) })
+	})
 	m := newTestMachine(t, testConfig(), spec, nil)
 	res := m.Run()
 	if res.Deadlocked {
@@ -150,81 +143,79 @@ func TestAtomicAddAccumulates(t *testing.T) {
 }
 
 func TestAtomicOpsReturnOldValue(t *testing.T) {
-	const a = mem.Addr(0x2000)
-	var exchOld, casOld, loadVal int64
-	spec := &KernelSpec{
-		Name: "ops", NumWGs: 1, WIsPerWG: 64,
-		Program: func(d Device) {
-			v := GlobalVar(a)
-			d.AtomicStore(v, 5)
-			exchOld = d.AtomicExch(v, 9)
-			casOld = d.AtomicCAS(v, 9, 13)
-			loadVal = d.AtomicLoad(v)
-		},
-	}
+	const a, out = mem.Addr(0x2000), mem.Addr(0x2800)
+	spec := irKernel("ops", 1, func(b *prog.Builder) {
+		v := b.GVar(uint64(a))
+		b.AtomicStore(v, prog.Imm(5))
+		exch := b.AtomicExch(v, prog.Imm(9))
+		cas := b.AtomicCAS(v, prog.Imm(9), prog.Imm(13))
+		load := b.AtomicLoad(v)
+		for i, r := range []prog.Src{exch, cas, load} {
+			b.Store(b.GVar(uint64(resultWord(out, i))), r)
+		}
+	})
 	m := newTestMachine(t, testConfig(), spec, nil)
 	if res := m.Run(); res.Deadlocked {
 		t.Fatal("deadlocked")
 	}
+	exchOld, casOld, loadVal := m.Mem().Read(resultWord(out, 0)), m.Mem().Read(resultWord(out, 1)), m.Mem().Read(resultWord(out, 2))
 	if exchOld != 5 || casOld != 9 || loadVal != 13 {
 		t.Fatalf("exch=%d cas=%d load=%d, want 5 9 13", exchOld, casOld, loadVal)
 	}
 }
 
 func TestLoadStoreRoundTrip(t *testing.T) {
-	const a = mem.Addr(0x3000)
-	var got int64
-	spec := &KernelSpec{
-		Name: "ls", NumWGs: 1, WIsPerWG: 64,
-		Program: func(d Device) {
-			d.Store(a, 42)
-			got = d.Load(a)
-		},
-	}
+	const a, out = mem.Addr(0x3000), mem.Addr(0x3800)
+	spec := irKernel("ls", 1, func(b *prog.Builder) {
+		b.Store(b.GVar(uint64(a)), prog.Imm(42))
+		b.Store(b.GVar(uint64(out)), b.Load(b.GVar(uint64(a))))
+	})
 	m := newTestMachine(t, testConfig(), spec, nil)
 	if res := m.Run(); res.Deadlocked {
 		t.Fatal("deadlocked")
 	}
-	if got != 42 {
+	if got := m.Mem().Read(out); got != 42 {
 		t.Fatalf("loaded %d, want 42", got)
 	}
 }
 
 func TestProducerConsumerViaAwait(t *testing.T) {
-	const flag = mem.Addr(0x4000)
-	var observed int64
-	spec := &KernelSpec{
-		Name: "pc", NumWGs: 2, WIsPerWG: 64,
-		Program: func(d Device) {
-			v := GlobalVar(flag)
-			if d.ID() == 0 {
-				d.Compute(5000)
-				d.AtomicStore(v, 7)
-			} else {
-				observed = d.AwaitEq(v, 7)
-			}
-		},
+	const flag, out = mem.Addr(0x4000), mem.Addr(0x4800)
+	b := prog.NewBuilder()
+	v := b.GVar(uint64(flag))
+	obs := b.Reg()
+	ifWG0(b, func() {
+		b.Compute(prog.Imm(5000))
+		b.AtomicStore(v, prog.Imm(7))
+	}, func() {
+		b.AwaitEq(v, prog.Imm(7))
+		b.Store(b.GVar(uint64(out)), obs)
+	})
+	p := b.MustBuild()
+	// Builder.AwaitEq discards the observed value; deliver it into obs.
+	for i := range p.Code {
+		if p.Code[i].Kind == prog.OpAwaitEq {
+			p.Code[i].Dst = obs.Reg
+		}
 	}
+	spec := &KernelSpec{Name: "pc", NumWGs: 2, WIsPerWG: 64, IR: p}
 	m := newTestMachine(t, testConfig(), spec, nil)
 	res := m.Run()
 	if res.Deadlocked {
 		t.Fatal("deadlocked")
 	}
-	if observed != 7 {
+	if observed := m.Mem().Read(out); observed != 7 {
 		t.Fatalf("consumer observed %d, want 7", observed)
 	}
 }
 
 func TestAwaitGE(t *testing.T) {
 	const c = mem.Addr(0x5000)
-	spec := &KernelSpec{
-		Name: "ge", NumWGs: 4, WIsPerWG: 64,
-		Program: func(d Device) {
-			v := GlobalVar(c)
-			d.AtomicAdd(v, 1)
-			d.AwaitGE(v, 4) // everyone waits for all arrivals
-		},
-	}
+	spec := irKernel("ge", 4, func(b *prog.Builder) {
+		v := b.GVar(uint64(c))
+		b.AtomicAddX(v, prog.Imm(1))
+		b.AwaitGE(v, prog.Imm(4)) // everyone waits for all arrivals
+	})
 	m := newTestMachine(t, testConfig(), spec, nil)
 	if res := m.Run(); res.Deadlocked {
 		t.Fatal("GE barrier deadlocked")
@@ -234,17 +225,14 @@ func TestAwaitGE(t *testing.T) {
 func TestDeterministicReplay(t *testing.T) {
 	build := func() *Machine {
 		const lock = mem.Addr(0x6000)
-		spec := &KernelSpec{
-			Name: "replay", NumWGs: 8, WIsPerWG: 64,
-			Program: func(d Device) {
-				v := GlobalVar(lock)
-				for i := 0; i < 5; i++ {
-					d.AcquireExch(v, 1, 0)
-					d.Compute(50)
-					d.AtomicExch(v, 0)
-				}
-			},
-		}
+		spec := irKernel("replay", 8, func(b *prog.Builder) {
+			v := b.GVar(uint64(lock))
+			repeat(b, 5, func(prog.Src) {
+				b.AcquireExch(v, prog.Imm(1), prog.Imm(0), false)
+				b.Compute(prog.Imm(50))
+				b.AtomicExchX(v, prog.Imm(0))
+			})
+		})
 		return newTestMachine(t, testConfig(), spec, nil)
 	}
 	a := build().Run()
@@ -259,12 +247,9 @@ func TestDeadlockDetection(t *testing.T) {
 	const never = mem.Addr(0x7000)
 	cfg := testConfig()
 	cfg.ProgressWindow = 50_000
-	spec := &KernelSpec{
-		Name: "stuck", NumWGs: 2, WIsPerWG: 64,
-		Program: func(d Device) {
-			d.AwaitEq(GlobalVar(never), 1) // no one ever sets it
-		},
-	}
+	spec := irKernel("stuck", 2, func(b *prog.Builder) {
+		b.AwaitEq(b.GVar(uint64(never)), prog.Imm(1)) // no one ever sets it
+	})
 	m := newTestMachine(t, cfg, spec, nil)
 	res := m.Run()
 	if !res.Deadlocked {
@@ -280,23 +265,26 @@ func TestOccupancyLimitedDispatch(t *testing.T) {
 	// after the first half finishes (no policy-driven context switching
 	// here).
 	cfg := testConfig() // 2 CUs x 4 slots
-	order := make(chan WGID, 16)
-	spec := &KernelSpec{
-		Name: "waves", NumWGs: 16, WIsPerWG: 64,
-		Program: func(d Device) {
-			d.Compute(1000)
-			order <- d.ID()
-		},
-	}
+	// Each finisher takes a ticket and records its ID in that order slot.
+	const ticket, order = mem.Addr(0x800), mem.Addr(0x1000)
+	spec := irKernel("waves", 16, func(b *prog.Builder) {
+		b.Compute(prog.Imm(1000))
+		slots := make([]uint64, 16)
+		for i := range slots {
+			slots[i] = uint64(resultWord(order, i))
+		}
+		first := b.AddrRange(slots)
+		tk := b.AtomicAdd(b.GVar(uint64(ticket)), prog.Imm(1))
+		b.Store(prog.At(b.Add(prog.Imm(first), tk), prog.Global), b.Geom(prog.GeomID))
+	})
 	m := newTestMachine(t, cfg, spec, nil)
 	res := m.Run()
 	if res.Deadlocked || res.Completed != 16 {
 		t.Fatalf("run failed: deadlocked=%v completed=%d", res.Deadlocked, res.Completed)
 	}
-	close(order)
 	var ids []WGID
-	for id := range order {
-		ids = append(ids, id)
+	for i := 0; i < 16; i++ {
+		ids = append(ids, WGID(m.Mem().Read(resultWord(order, i))))
 	}
 	// The first 8 finishers must be exactly WGs 0..7 (dispatch order).
 	seen := map[WGID]bool{}
@@ -312,25 +300,27 @@ func TestOccupancyLimitedDispatch(t *testing.T) {
 
 func TestHomeGroupsAndPlacement(t *testing.T) {
 	cfg := testConfig() // 2 CUs x 4
-	spec := &KernelSpec{
-		Name: "groups", NumWGs: 8, WIsPerWG: 64,
-		Program: func(d Device) {
-			if d.GroupSize() != 4 {
-				t.Errorf("WG %d group size %d, want 4", d.ID(), d.GroupSize())
-			}
-			want := int(d.ID()) / 4
-			if d.Group() != want {
-				t.Errorf("WG %d in group %d, want %d", d.ID(), d.Group(), want)
-			}
-			// Initial placement puts each WG on its home CU.
-			if int(d.ID())/4 != want {
-				t.Errorf("placement mismatch")
-			}
-		},
-	}
+	const sizes, groups = mem.Addr(0x1000), mem.Addr(0x2000)
+	spec := irKernel("groups", 8, func(b *prog.Builder) {
+		b.Store(wgWord(b, sizes, 8), b.Geom(prog.GeomGroupSize))
+		b.Store(wgWord(b, groups, 8), b.Geom(prog.GeomGroup))
+	})
 	m := newTestMachine(t, cfg, spec, nil)
 	if res := m.Run(); res.Deadlocked {
 		t.Fatal("deadlocked")
+	}
+	for id := 0; id < 8; id++ {
+		if size := m.Mem().Read(resultWord(sizes, id)); size != 4 {
+			t.Errorf("WG %d group size %d, want 4", id, size)
+		}
+		want := id / 4
+		if group := int(m.Mem().Read(resultWord(groups, id))); group != want {
+			t.Errorf("WG %d in group %d, want %d", id, group, want)
+		}
+		// Initial placement puts each WG on its home CU.
+		if id/4 != want {
+			t.Errorf("placement mismatch")
+		}
 	}
 	for _, w := range m.WGs() {
 		if w.Home() != int(w.ID())/4 {
@@ -344,17 +334,7 @@ func TestPreemptCUForcesWGsOut(t *testing.T) {
 	// policy, everything still completes on CU 0.
 	const flag = mem.Addr(0x8000)
 	cfg := testConfig()
-	spec := &KernelSpec{
-		Name: "preempt", NumWGs: 8, WIsPerWG: 64,
-		Program: func(d Device) {
-			if d.ID() == 0 {
-				d.Compute(60_000)
-				d.AtomicStore(GlobalVar(flag), 1)
-				return
-			}
-			d.AwaitEq(GlobalVar(flag), 1)
-		},
-	}
+	spec := irKernel("preempt", 8, producerConsumer(flag, 60_000))
 	m := newTestMachine(t, cfg, spec, &yieldPolicy{})
 	m.Engine().At(10_000, func() { m.PreemptCU(1) })
 	res := m.Run()
@@ -388,17 +368,7 @@ func TestStalledWGsFreeIssueSlots(t *testing.T) {
 		if stallNeighbour {
 			pol = &stallingPolicy{}
 		}
-		spec := &KernelSpec{
-			Name: "interfere", NumWGs: 2, WIsPerWG: 64,
-			Program: func(d Device) {
-				if d.ID() == 0 {
-					d.Compute(100_000)
-					d.AtomicStore(GlobalVar(flag), 1)
-					return
-				}
-				d.AwaitEq(GlobalVar(flag), 1)
-			},
-		}
+		spec := irKernel("interfere", 2, producerConsumer(flag, 100_000))
 		m := newTestMachine(t, cfg, spec, pol)
 		res := m.Run()
 		if res.Deadlocked {
@@ -438,7 +408,7 @@ func (p *stallingPolicy) Wait(w *WG, v Var, op AtomicOp, a, b, want int64, cmp C
 }
 
 func TestJitterDeterministicAndBounded(t *testing.T) {
-	spec := &KernelSpec{Name: "k", NumWGs: 1, WIsPerWG: 64, Program: func(Device) {}}
+	spec := irKernel("k", 1, noop)
 	m1 := newTestMachine(t, testConfig(), spec, nil)
 	m2 := newTestMachine(t, testConfig(), spec, nil)
 	for i := 0; i < 1000; i++ {
@@ -457,17 +427,7 @@ func TestJitterDeterministicAndBounded(t *testing.T) {
 
 func TestBreakdownAccounting(t *testing.T) {
 	const flag = mem.Addr(0xa000)
-	spec := &KernelSpec{
-		Name: "breakdown", NumWGs: 2, WIsPerWG: 64,
-		Program: func(d Device) {
-			if d.ID() == 0 {
-				d.Compute(20_000)
-				d.AtomicStore(GlobalVar(flag), 1)
-				return
-			}
-			d.AwaitEq(GlobalVar(flag), 1)
-		},
-	}
+	spec := irKernel("breakdown", 2, producerConsumer(flag, 20_000))
 	m := newTestMachine(t, testConfig(), spec, nil)
 	res := m.Run()
 	if res.Deadlocked {
@@ -487,17 +447,14 @@ func TestBreakdownAccounting(t *testing.T) {
 
 func TestCharacterizationStats(t *testing.T) {
 	const lock = mem.Addr(0xb000)
-	spec := &KernelSpec{
-		Name: "charz", NumWGs: 4, WIsPerWG: 64,
-		Program: func(d Device) {
-			v := GlobalVar(lock)
-			for i := 0; i < 3; i++ {
-				d.AcquireExch(v, 1, 0)
-				d.Compute(100)
-				d.AtomicExch(v, 0)
-			}
-		},
-	}
+	spec := irKernel("charz", 4, func(b *prog.Builder) {
+		v := b.GVar(uint64(lock))
+		repeat(b, 3, func(prog.Src) {
+			b.AcquireExch(v, prog.Imm(1), prog.Imm(0), false)
+			b.Compute(prog.Imm(100))
+			b.AtomicExchX(v, prog.Imm(0))
+		})
+	})
 	m := newTestMachine(t, testConfig(), spec, nil)
 	res := m.Run()
 	if res.Deadlocked {
@@ -513,14 +470,9 @@ func TestCharacterizationStats(t *testing.T) {
 
 func TestSyncThreadsCost(t *testing.T) {
 	cfg := testConfig()
-	spec := &KernelSpec{
-		Name: "sync", NumWGs: 1, WIsPerWG: 64,
-		Program: func(d Device) {
-			for i := 0; i < 10; i++ {
-				d.SyncThreads()
-			}
-		},
-	}
+	spec := irKernel("sync", 1, func(b *prog.Builder) {
+		repeat(b, 10, func(prog.Src) { b.SyncThreads() })
+	})
 	m := newTestMachine(t, cfg, spec, nil)
 	res := m.Run()
 	minCost := uint64(10 * cfg.SyncThreadsLatency)
@@ -531,10 +483,7 @@ func TestSyncThreadsCost(t *testing.T) {
 
 func TestOversubscribedFlag(t *testing.T) {
 	cfg := testConfig() // capacity 8
-	spec := &KernelSpec{
-		Name: "k", NumWGs: 12, WIsPerWG: 64,
-		Program: func(d Device) { d.Compute(1000) },
-	}
+	spec := irKernel("k", 12, computeOnly(1000))
 	m := newTestMachine(t, cfg, spec, nil)
 	if !m.Oversubscribed() {
 		t.Fatal("12 WGs on 8 slots not reported oversubscribed before dispatch")
@@ -548,27 +497,8 @@ func TestOversubscribedFlag(t *testing.T) {
 	}
 }
 
-func TestAbortCleansUpGoroutines(t *testing.T) {
-	// A deadlocked run must unwind all WG goroutines; run many times to
-	// shake out leaks (the race detector would flag misuse).
-	cfg := testConfig()
-	cfg.ProgressWindow = 20_000
-	for i := 0; i < 5; i++ {
-		spec := &KernelSpec{
-			Name: "stuck", NumWGs: 8, WIsPerWG: 64,
-			Program: func(d Device) {
-				d.AwaitEq(GlobalVar(0xdead0), 1)
-			},
-		}
-		m := newTestMachine(t, cfg, spec, nil)
-		if res := m.Run(); !res.Deadlocked {
-			t.Fatal("expected deadlock")
-		}
-	}
-}
-
 func TestEventEngineExposed(t *testing.T) {
-	spec := &KernelSpec{Name: "k", NumWGs: 1, WIsPerWG: 64, Program: func(Device) {}}
+	spec := irKernel("k", 1, noop)
 	m := newTestMachine(t, testConfig(), spec, nil)
 	fired := false
 	m.Engine().At(event.Cycle(1), func() { fired = true })

@@ -42,17 +42,7 @@ func TestForceEvictMidAtomic(t *testing.T) {
 	const flag = mem.Addr(0x8000)
 	cfg := testConfig()
 	cfg.NumCUs = 1
-	spec := &KernelSpec{
-		Name: "evict-mid-atomic", NumWGs: 2, WIsPerWG: 64,
-		Program: func(d Device) {
-			if d.ID() == 0 {
-				d.Compute(20_000)
-				d.AtomicStore(GlobalVar(flag), 1)
-				return
-			}
-			d.AwaitEq(GlobalVar(flag), 1)
-		},
-	}
+	spec := irKernel("evict-mid-atomic", 2, producerConsumer(flag, 20_000))
 	m := newTestMachine(t, cfg, spec, &evictMidAtomicPolicy{})
 	res := m.Run()
 	if res.Deadlocked {
@@ -72,17 +62,7 @@ func TestPreemptThenImmediateRestore(t *testing.T) {
 	// completes at full width.
 	const flag = mem.Addr(0x8000)
 	cfg := testConfig()
-	spec := &KernelSpec{
-		Name: "preempt-restore", NumWGs: 8, WIsPerWG: 64,
-		Program: func(d Device) {
-			if d.ID() == 0 {
-				d.Compute(60_000)
-				d.AtomicStore(GlobalVar(flag), 1)
-				return
-			}
-			d.AwaitEq(GlobalVar(flag), 1)
-		},
-	}
+	spec := irKernel("preempt-restore", 8, producerConsumer(flag, 60_000))
 	m := newTestMachine(t, cfg, spec, &yieldPolicy{})
 	m.Engine().At(10_000, func() {
 		m.PreemptCU(1)
@@ -108,10 +88,7 @@ func TestDispatchStarvationAllCUsDisabled(t *testing.T) {
 	// declare the run deadlocked rather than hang.
 	cfg := testConfig()
 	cfg.ProgressWindow = 50_000
-	spec := &KernelSpec{
-		Name: "starve", NumWGs: 8, WIsPerWG: 64,
-		Program: func(d Device) { d.Compute(1000) },
-	}
+	spec := irKernel("starve", 8, computeOnly(1000))
 	m := newTestMachine(t, cfg, spec, &yieldPolicy{})
 	m.Engine().At(0, func() {
 		m.PreemptCU(0)
@@ -133,10 +110,7 @@ func TestDispatchResumesAfterRestore(t *testing.T) {
 	// Same full-disable, but the CUs come back before the watchdog fires;
 	// the pending launch must then drain normally.
 	cfg := testConfig()
-	spec := &KernelSpec{
-		Name: "starve-restore", NumWGs: 8, WIsPerWG: 64,
-		Program: func(d Device) { d.Compute(1000) },
-	}
+	spec := irKernel("starve-restore", 8, computeOnly(1000))
 	m := newTestMachine(t, cfg, spec, &yieldPolicy{})
 	m.Engine().At(0, func() {
 		m.PreemptCU(0)

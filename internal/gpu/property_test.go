@@ -5,8 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 
-	"awgsim/internal/event"
 	"awgsim/internal/mem"
+	"awgsim/internal/prog"
 )
 
 // TestAtomicFunctionalEquivalence: whatever the timing model does with
@@ -33,14 +33,13 @@ func TestAtomicFunctionalEquivalence(t *testing.T) {
 				expected[o.addr] += o.delta
 			}
 		}
-		spec := &KernelSpec{
-			Name: "prop", NumWGs: nWGs, WIsPerWG: 64,
-			Program: func(d Device) {
-				for _, o := range plans[d.ID()] {
-					d.AtomicAdd(GlobalVar(o.addr), o.delta)
+		spec := irKernel("prop", nWGs, func(b *prog.Builder) {
+			switchWG(b, nWGs, func(id int) {
+				for _, o := range plans[id] {
+					b.AtomicAddX(b.GVar(uint64(o.addr)), prog.Imm(o.delta))
 				}
-			},
-		}
+			})
+		})
 		cfg := testConfig()
 		m, err := NewMachine(cfg, mem.DefaultConfig(), spec, &spinPolicy{})
 		if err != nil {
@@ -76,19 +75,18 @@ func TestMutualExclusionProperty(t *testing.T) {
 			}
 		}
 		const lock, counter = mem.Addr(0x2000), mem.Addr(0x2040)
-		spec := &KernelSpec{
-			Name: "mutex-prop", NumWGs: nWGs, WIsPerWG: 64,
-			Program: func(d Device) {
-				v := GlobalVar(lock)
+		spec := irKernel("mutex-prop", nWGs, func(b *prog.Builder) {
+			v, c := b.GVar(uint64(lock)), b.GVar(uint64(counter))
+			switchWG(b, nWGs, func(id int) {
 				for j := 0; j < iters; j++ {
-					d.AcquireExch(v, 1, 0)
-					x := d.Load(counter)
-					d.Compute(event.Cycle(work[d.ID()][j]) + 1)
-					d.Store(counter, x+1)
-					d.AtomicExch(v, 0)
+					b.AcquireExch(v, prog.Imm(1), prog.Imm(0), false)
+					x := b.Load(c)
+					b.Compute(prog.Imm(int64(work[id][j]) + 1))
+					b.Store(c, b.Add(x, prog.Imm(1)))
+					b.AtomicExchX(v, prog.Imm(0))
 				}
-			},
-		}
+			})
+		})
 		m, err := NewMachine(testConfig(), mem.DefaultConfig(), spec, &spinPolicy{})
 		if err != nil {
 			return false
@@ -110,28 +108,23 @@ func TestBarrierEpochProperty(t *testing.T) {
 	const nWGs, epochs = 8, 4
 	const count = mem.Addr(0x3000)
 	stampBase := mem.Addr(0x4000)
-	violated := false
-	spec := &KernelSpec{
-		Name: "barrier-prop", NumWGs: nWGs, WIsPerWG: 64,
-		Program: func(d Device) {
-			me := stampBase + mem.Addr(int(d.ID())*64)
-			for e := 1; e <= epochs; e++ {
-				d.Compute(event.Cycle(100 * (int(d.ID()) + 1)))
-				d.Store(me, int64(e))
-				v := GlobalVar(count)
-				target := int64(e * nWGs)
-				if d.AtomicAdd(v, 1)+1 != target {
-					d.AwaitGE(v, target)
-				}
-				// After the barrier, every stamp must be >= e.
-				for i := 0; i < nWGs; i++ {
-					if d.Load(stampBase+mem.Addr(i*64)) < int64(e) {
-						violated = true
-					}
-				}
+	const violation = mem.Addr(0x5000)
+	spec := irKernel("barrier-prop", nWGs, func(b *prog.Builder) {
+		me := wgWord(b, stampBase, nWGs)
+		work := b.Mul(prog.Imm(100), b.Add(b.Geom(prog.GeomID), prog.Imm(1)))
+		for e := int64(1); e <= epochs; e++ {
+			b.Compute(work)
+			b.Store(me, prog.Imm(e))
+			countBarrier(b, b.GVar(uint64(count)), prog.Imm(e*nWGs))
+			// After the barrier, every stamp must be >= e.
+			for i := 0; i < nWGs; i++ {
+				ok := b.Label()
+				b.Br(prog.GE, b.Load(b.GVar(uint64(resultWord(stampBase, i)))), prog.Imm(e), ok)
+				b.Store(b.GVar(uint64(violation)), prog.Imm(1))
+				b.Bind(ok)
 			}
-		},
-	}
+		}
+	})
 	m, err := NewMachine(testConfig(), mem.DefaultConfig(), spec, &spinPolicy{})
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +132,7 @@ func TestBarrierEpochProperty(t *testing.T) {
 	if m.Run().Deadlocked {
 		t.Fatal("deadlocked")
 	}
-	if violated {
+	if violated := m.Mem().Read(violation) != 0; violated {
 		t.Fatal("a WG crossed the barrier before everyone arrived")
 	}
 }

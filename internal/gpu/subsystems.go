@@ -3,8 +3,8 @@ package gpu
 import "awgsim/internal/event"
 
 // This file defines the seams between the Machine and its collaborators.
-// The Machine owns the event engine, the memory system, the WG runtimes and
-// the device request loop; everything else is delegated to three
+// The Machine owns the event engine, the memory system, the WG frames and
+// the device operations they issue; everything else is delegated to three
 // narrowly-scoped subsystems, each behind an interface so tests can
 // substitute instrumented implementations:
 //
@@ -19,8 +19,8 @@ import "awgsim/internal/event"
 // The subsystems collaborate only through these interfaces (wired up by
 // NewMachine), so each one can be read, tested, and replaced on its own:
 // the dispatcher asks the context engine to restore ready WGs, the context
-// engine hands freed resources back to the dispatcher, and the request loop
-// feeds the atomic pipeline.
+// engine hands freed resources back to the dispatcher, and the WGs' device
+// operations feed the atomic pipeline.
 
 // dispatcher places work-groups onto compute units. It owns the CU resource
 // pools, the two scheduling queues (never-started pending WGs and

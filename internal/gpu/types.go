@@ -1,8 +1,10 @@
 // Package gpu models the GPU execution hierarchy of the paper's baseline
 // (Table 1): compute units holding work-group (WG) contexts, a dispatcher
-// assigning globally unique WG IDs, and a coroutine-based WG runtime that
-// executes kernel programs written as ordinary Go functions against a
-// Device interface.
+// assigning globally unique WG IDs, and an inline interpreter that executes
+// every WG's kernel program (a prog.Program) as an explicit frame — program
+// counter plus registers — advanced by the machine's response events. That
+// frame is the WG's whole position: the context the CP saves and restores
+// and the state snapshots copy.
 //
 // The package deliberately knows nothing about *how* synchronization waits
 // are implemented: kernels express intent (wait until this variable equals

@@ -161,7 +161,3 @@ func (f *Flat[K, V]) CopyFrom(src *Flat[K, V]) {
 	f.mask = src.mask
 	f.live = src.live
 }
-
-// Mix64 is the SplitMix64 finalizer, exported as the default key-mixing
-// function for Flat tables over addresses and packed condition keys.
-func Mix64(x uint64) uint64 { return splitmix(x) }

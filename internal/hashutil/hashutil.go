@@ -29,8 +29,8 @@ func NewUniversal(seed uint64, m int) Universal {
 	if m <= 0 {
 		panic("hashutil: universal hash range must be positive")
 	}
-	a := (splitmix(seed) % (mersennePrime31 - 1)) + 1 // a in [1, p-1]
-	b := splitmix(seed+0x9e3779b97f4a7c15) % mersennePrime31
+	a := (Mix64(seed) % (mersennePrime31 - 1)) + 1 // a in [1, p-1]
+	b := Mix64(seed+splitmixGamma) % mersennePrime31
 	return Universal{a: a, b: b, m: uint64(m)}
 }
 
@@ -47,13 +47,29 @@ func fold31(x uint64) uint64 {
 	return (x ^ x>>31 ^ x>>62) & mersennePrime31
 }
 
-// splitmix is the SplitMix64 finalizer, used only to derive well-mixed
-// family parameters from small seeds.
-func splitmix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
+// splitmixGamma is SplitMix64's stream increment (2^64 / the golden ratio).
+const splitmixGamma = 0x9e3779b97f4a7c15
+
+// Mix64 is the SplitMix64 output function of state x: it mixes x + gamma.
+// It is the default key-mixing function for Flat tables over addresses and
+// packed condition keys, and it derives the universal-hash parameters from
+// small seeds.
+func Mix64(x uint64) uint64 {
+	x += splitmixGamma
 	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
 	x = (x ^ x>>27) * 0x94d049bb133111eb
 	return x ^ x>>31
+}
+
+// Next draws the next value of a splitmix64 stream and advances its state:
+// Mix64(*state), then *state += gamma. It is the simulator's one seeded
+// random stream — fault schedules, litmus generation, fleet planes and
+// memory poison all draw from it — so each is deterministic and
+// addressable by its seed.
+func Next(state *uint64) uint64 {
+	x := Mix64(*state)
+	*state += splitmixGamma
+	return x
 }
 
 // Bloom is a fixed-geometry Bloom filter matching the paper's AWG predictor

@@ -228,3 +228,32 @@ func BenchmarkBloomObserve(b *testing.B) {
 		c.Observe(uint64(i % 8))
 	}
 }
+
+// TestNextStreamPinned pins the first eight outputs of the splitmix64
+// stream for three seeds. The literals are the outputs of the generator
+// the fault, litmus, fleet and memory-poison streams used before they
+// shared Next, so those streams replay unchanged.
+func TestNextStreamPinned(t *testing.T) {
+	want := map[uint64][8]uint64{
+		0: {0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4, 0x6c45d188009454f, 0xf88bb8a8724c81ec,
+			0x1b39896a51a8749b, 0x53cb9f0c747ea2ea, 0x2c829abe1f4532e1, 0xc584133ac916ab3c},
+		1: {0x910a2dec89025cc1, 0xbeeb8da1658eec67, 0xf893a2eefb32555e, 0x71c18690ee42c90b,
+			0x71bb54d8d101b5b9, 0xc34d0bff90150280, 0xe099ec6cd7363ca5, 0x85e7bb0f12278575},
+		12345: {0x22118258a9d111a0, 0x346edce5f713f8ed, 0x1e9a57bc80e6721d, 0x2d160e7e5c3f42ca,
+			0x81c2e6dc980d78eb, 0x5647e55ad933f62e, 0x1f6622b40cb38e42, 0x6e7411b06820371c},
+	}
+	for seed, outs := range want {
+		state := seed
+		for i, w := range outs {
+			if got := Next(&state); got != w {
+				t.Fatalf("seed %d output %d = %#x, want %#x", seed, i, got, w)
+			}
+		}
+		if step := uint64(splitmixGamma); state != seed+8*step {
+			t.Fatalf("seed %d: state %#x after 8 draws, want %#x", seed, state, seed+8*step)
+		}
+		if got := Mix64(seed); got != outs[0] {
+			t.Fatalf("Mix64(%d) = %#x, want the stream's first output %#x", seed, got, outs[0])
+		}
+	}
+}

@@ -1,18 +1,17 @@
 package kernels
 
 import (
+	"awgsim/internal/event"
 	"awgsim/internal/gpu"
 	"awgsim/internal/mem"
 	"awgsim/internal/prog"
 )
 
-// IR ports of the benchmark programs. Every builder in this file mirrors its
-// Go-closure twin in benchmarks.go/extensions.go op for op: the device-
-// operation sequence each WG issues must be identical between the two, which
-// is what makes the exec modes bit-identical (and what the dual-mode
-// regression and FuzzProgIR pin). Pure address/target arithmetic moves into
-// registers; scoped variable tables become pool ranges indexed by geometry
-// registers. Porting guide: see README.md and DESIGN.md §11.
+// The benchmark programs. Each builder here emits the WG program of one
+// benchmark in benchmarks.go/extensions.go/litmus.go. Address and target
+// arithmetic lives in registers; scoped variable tables become pool ranges
+// indexed by geometry registers. How to write a kernel: see README.md and
+// DESIGN.md §11.
 
 // addrWords converts an address slice for prog.Builder.AddrRange.
 func addrWords(addrs []mem.Addr) []uint64 {
@@ -51,7 +50,11 @@ func irSkewedWork(b *prog.Builder, p Params, wg, i prog.Src) prog.Src {
 	return b.Add(prog.Imm(int64(p.OutsideWork/2)), b.Div(b.Mul(prog.Imm(int64(p.OutsideWork)), spread), prog.Imm(2)))
 }
 
-// irCentralBarrier emits CentralBarrier.Wait(d, epoch) on the counter at m.
+// irCentralBarrier emits the epoch-th wait of a single-level global barrier
+// on the counter at m: count in, then poll for the full-arrival target. It
+// is the validation epilogue of the mutex benchmarks (the reason every
+// benchmark deadlocks under the busy-waiting Baseline when WGs are lost
+// mid-kernel).
 func irCentralBarrier(b *prog.Builder, m prog.Mem, epoch int64) {
 	target := b.Mul(prog.Imm(epoch), b.Geom(prog.GeomNumWGs))
 	old := b.AtomicAdd(m, prog.Imm(1))
@@ -77,7 +80,10 @@ func irGroupIdx(b *prog.Builder, scope gpu.Scope) prog.Src {
 	return b.Let(prog.Imm(0))
 }
 
-// spinMutexIR is the IR twin of spinMutexBench's program.
+// spinMutexIR is spinMutexBench's program around HeteroSync's test-and-set
+// lock (SPM): lock spins exchanging 1 into the word until the previous
+// value was 0, unlock stores 0. backoff selects the SPMBO variant, whose
+// acquire carries the software exponential-backoff hint.
 func spinMutexIR(p Params, scope gpu.Scope, backoff bool, locks, counters []mem.Addr, barCount mem.Addr) *prog.Program {
 	b := prog.NewBuilder()
 	sc := irScope(scope)
@@ -97,15 +103,19 @@ func spinMutexIR(p Params, scope gpu.Scope, backoff bool, locks, counters []mem.
 	return b.MustBuild()
 }
 
-// irTicketLock emits TicketMutex.Lock (ticket fetch-add + serve wait),
-// returning the ticket register.
+// irTicketLock emits the acquire of HeteroSync's centralized ticket lock
+// (FAM): a fetch-add on tail takes a ticket, then the WG waits until the
+// now-serving word reaches it (G conditions on one variable, one waiter
+// each — Table 2). It returns the ticket register. The serving counter is
+// monotonic, so the wait is >=: a sparse poller (Timeout, Sleep) cannot
+// miss its turn's value. Unlock adds 1 to serving.
 func irTicketLock(b *prog.Builder, tail, serving prog.Mem) prog.Src {
 	t := b.AtomicAdd(tail, prog.Imm(1))
 	b.AwaitGE(serving, t)
 	return t
 }
 
-// ticketMutexIR is the IR twin of ticketMutexBench's program.
+// ticketMutexIR is ticketMutexBench's program.
 func ticketMutexIR(p Params, scope gpu.Scope, tails, servings, counters []mem.Addr, barCount mem.Addr) *prog.Program {
 	b := prog.NewBuilder()
 	sc := irScope(scope)
@@ -125,8 +135,10 @@ func ticketMutexIR(p Params, scope gpu.Scope, tails, servings, counters []mem.Ad
 	return b.MustBuild()
 }
 
-// queueMutexIR is the IR twin of queueMutexBench's program. Each lock's
-// slot ring occupies a contiguous pool range, so slot selection is
+// queueMutexIR is queueMutexBench's program around the QueueMutex of
+// Figure 10: lock takes a ticket and waits for its slot to read 1; unlock
+// retires the slot (-1) and unlocks the next one. Each lock's slot ring
+// occupies a contiguous pool range, so slot selection is
 // base + ticket%len — the pool addresses stay line-separated even though
 // their indices are dense.
 func queueMutexIR(p Params, scope gpu.Scope, tails []mem.Addr, slots [][]mem.Addr, counters []mem.Addr, barCount mem.Addr) *prog.Program {
@@ -159,7 +171,11 @@ func queueMutexIR(p Params, scope gpu.Scope, tails []mem.Addr, slots [][]mem.Add
 	return b.MustBuild()
 }
 
-// treeBarrierIR is the IR twin of treeBarrierBench's program.
+// treeBarrierIR is treeBarrierBench's program: per round, work, a progress
+// token, and the TreeBarrier rendezvous. The last arriver of a group joins
+// the global phase and then releases its group by pushing the group
+// counter past the arrival target; everyone else waits for that bump.
+// Targets are TreeBarrier.LocalTargets, computed in registers.
 func treeBarrierIR(p Params, localScope gpu.Scope, localCount []mem.Addr, globalCount mem.Addr, perWG []mem.Addr) *prog.Program {
 	b := prog.NewBuilder()
 	sc := irScope(localScope)
@@ -172,7 +188,7 @@ func treeBarrierIR(p Params, localScope gpu.Scope, localCount []mem.Addr, global
 	irLoop(b, 1, int64(p.Iters), prog.GT, func(i prog.Src) {
 		b.Compute(irSkewedWork(b, p, wg, i))
 		b.Store(me, i)
-		// TreeBarrier.Wait(d, i)
+		// The TreeBarrier rendezvous for epoch i.
 		arrive := b.Add(b.Mul(b.Sub(i, prog.Imm(1)), perEpoch), gs)
 		release := b.Mul(i, perEpoch)
 		old := b.AtomicAdd(lc, prog.Imm(1))
@@ -194,10 +210,15 @@ func treeBarrierIR(p Params, localScope gpu.Scope, localCount []mem.Addr, global
 	return b.MustBuild()
 }
 
-// lfTreeBarrierIR is the IR twin of lfTreeBarrierBench's program. Group
-// membership is the blocked placement groupMembers reproduces — group g owns
-// the contiguous WG range [g*L, (g+1)*L) with its master at g*L — so member
-// iteration is a register loop over flag-table indices.
+// lfTreeBarrierIR is lfTreeBarrierBench's program around the decentralized
+// ("lock-free") two-level tree barrier (LFTB/LFTBEX): one flag word per WG,
+// written once per direction per epoch, so every condition has exactly one
+// waiter and one update (Table 2's LFTB row). Group masters gather member
+// flags, rendezvous through per-group flags with the global master (group
+// 0's), and release in reverse. Group membership is the blocked placement
+// groupMembers reproduces — group g owns the contiguous WG range
+// [g*L, (g+1)*L) with its master at g*L — so member iteration is a register
+// loop over flag-table indices.
 func lfTreeBarrierIR(p Params, localScope gpu.Scope, wgFlag, groupFlag, perWG []mem.Addr) *prog.Program {
 	b := prog.NewBuilder()
 	sc := irScope(localScope)
@@ -216,7 +237,7 @@ func lfTreeBarrierIR(p Params, localScope gpu.Scope, wgFlag, groupFlag, perWG []
 	irLoop(b, 1, int64(p.Iters), prog.GT, func(i prog.Src) {
 		b.Compute(irSkewedWork(b, p, wg, i))
 		b.Store(me, i)
-		// LFTreeBarrier.Wait(d, i); arrivals write i, releases write -i.
+		// The epoch-i rendezvous: arrivals write i, releases write -i.
 		neg := b.Sub(prog.Imm(0), i)
 		isMaster, out := b.Label(), b.Label()
 		b.Br(prog.EQ, self, master, isMaster)
@@ -272,7 +293,8 @@ func lfTreeBarrierIR(p Params, localScope gpu.Scope, wgFlag, groupFlag, perWG []
 	return b.MustBuild()
 }
 
-// hashTableIR is the IR twin of hashTableBench's program.
+// hashTableIR is hashTableBench's program: inserts into a bucketed table,
+// each bucket guarded by a test-and-set lock.
 func hashTableIR(p Params, buckets int, locks, counts []mem.Addr, barCount mem.Addr) *prog.Program {
 	b := prog.NewBuilder()
 	lockBase := b.AddrRange(addrWords(locks))
@@ -293,7 +315,8 @@ func hashTableIR(p Params, buckets int, locks, counts []mem.Addr, barCount mem.A
 	return b.MustBuild()
 }
 
-// bankAccountIR is the IR twin of bankAccountBench's program.
+// bankAccountIR is bankAccountBench's program: transfers between
+// ticket-locked accounts, locks taken in account order.
 func bankAccountIR(p Params, accounts int, tails, servings, balances []mem.Addr, barCount mem.Addr) *prog.Program {
 	b := prog.NewBuilder()
 	n := prog.Imm(int64(accounts))
@@ -337,8 +360,11 @@ func bankAccountIR(p Params, accounts int, tails, servings, balances []mem.Addr,
 	return b.MustBuild()
 }
 
-// irSemaphoreAcquire emits Semaphore.Acquire on m: the policy-lowered wait
-// for a free permit with a CAS race among resumed waiters.
+// irSemaphoreAcquire emits the acquire of a counting semaphore on m, whose
+// value holds the free permits: the policy-lowered wait for a free permit
+// (AwaitGE permits >= 1), then a CAS race among however many waiters were
+// resumed, with losers re-waiting — Mesa semantics in miniature. Release
+// adds 1.
 func irSemaphoreAcquire(b *prog.Builder, m prog.Mem) {
 	again := b.Here()
 	v := b.AtomicLoad(m)
@@ -351,7 +377,7 @@ func irSemaphoreAcquire(b *prog.Builder, m prog.Mem) {
 	b.Br(prog.NE, old, v, again)
 }
 
-// semaphoreIR is the IR twin of semaphoreBench's program.
+// semaphoreIR is semaphoreBench's program.
 func semaphoreIR(p Params, semV, inside, entered, maxSeen, barCount mem.Addr) *prog.Program {
 	b := prog.NewBuilder()
 	sem := b.GVar(uint64(semV))
@@ -377,7 +403,10 @@ func semaphoreIR(p Params, semV, inside, entered, maxSeen, barCount mem.Addr) *p
 	return b.MustBuild()
 }
 
-// rwLockIR is the IR twin of rwLockBench's program.
+// rwLockIR is rwLockBench's program around a single-word reader-writer
+// lock: 0 free, -1 writer held, n>0 n readers held. Writers acquire by CAS
+// 0 -> -1 through the policy-lowered acquire path; readers wait out
+// writers and CAS-race the reader count up.
 func rwLockIR(p Params, lockV, wordA, wordB, writes, torn, barCount mem.Addr) *prog.Program {
 	b := prog.NewBuilder()
 	lock := b.GVar(uint64(lockV))
@@ -400,7 +429,7 @@ func rwLockIR(p Params, lockV, wordA, wordB, writes, torn, barCount mem.Addr) *p
 		b.AtomicExchX(lock, prog.Imm(0))
 		b.Jmp(out)
 		b.Bind(reader)
-		// RWLock.RLock: wait out writers, CAS-race the reader count up.
+		// Reader: wait out writers, CAS-race the reader count up.
 		again := b.Here()
 		v := b.AtomicLoad(lock)
 		noWriter := b.Label()
@@ -421,6 +450,23 @@ func rwLockIR(p Params, lockV, wordA, wordB, writes, torn, barCount mem.Addr) *p
 		b.Bind(out)
 	})
 	irCentralBarrier(b, b.GVar(uint64(barCount)), 1)
+	return b.MustBuild()
+}
+
+// ProducerConsumerIR is the canonical two-phase wait of Figure 6's
+// timelines: WG 0 computes for work cycles and then sets flag to 1, while
+// every other WG waits for flag == 1.
+func ProducerConsumerIR(flag mem.Addr, work event.Cycle) *prog.Program {
+	b := prog.NewBuilder()
+	v := b.GVar(uint64(flag))
+	consumer, end := b.Label(), b.Label()
+	b.Br(prog.NE, b.Geom(prog.GeomID), prog.Imm(0), consumer)
+	b.Compute(prog.Imm(int64(work)))
+	b.AtomicStore(v, prog.Imm(1))
+	b.Jmp(end)
+	b.Bind(consumer)
+	b.AwaitEq(v, prog.Imm(1))
+	b.Bind(end)
 	return b.MustBuild()
 }
 

@@ -83,7 +83,7 @@ func TestRegistryComplete(t *testing.T) {
 		if b.Spec.Name != name {
 			t.Errorf("%s spec named %q", name, b.Spec.Name)
 		}
-		if b.Spec.Program == nil {
+		if b.Spec.IR == nil {
 			t.Errorf("%s has no program", name)
 		}
 		if b.Verify == nil {

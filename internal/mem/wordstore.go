@@ -87,8 +87,8 @@ func (w *wordStore) splitPage(idx int32) {
 }
 
 // corruptRange poisons every word of each allocated page in
-// [page, page+n) with a splitmix64 stream (the same generator the fault
-// subsystem uses, so the pattern is seed-addressable). Mutations route
+// [page, page+n) with a splitmix64 stream (hashutil.Next, the generator
+// the fault subsystem draws from, so the pattern is seed-addressable). Mutations route
 // through write: shared (snapshotted) pages split copy-on-write first.
 func (w *wordStore) corruptRange(page uint64, n int, seed uint64) int {
 	words := 0
@@ -98,11 +98,7 @@ func (w *wordStore) corruptRange(page uint64, n int, seed uint64) int {
 			continue
 		}
 		for i := uint64(0); i < pageWords; i++ {
-			state += 0x9e3779b97f4a7c15
-			x := state
-			x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
-			x = (x ^ x>>27) * 0x94d049bb133111eb
-			w.write(Addr((p<<pageShift+i)<<3), int64(x^x>>31))
+			w.write(Addr((p<<pageShift+i)<<3), int64(hashutil.Next(&state)))
 			words++
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"awgsim/internal/mem"
 	"awgsim/internal/metrics"
 	"awgsim/internal/policy"
+	"awgsim/internal/prog"
 	"awgsim/internal/syncmon"
 )
 
@@ -24,36 +25,51 @@ func testConfig() gpu.Config {
 // producerConsumer builds a kernel where WG 0 stores `val` into flag after
 // `delay` cycles and every other WG waits for it.
 func producerConsumer(numWGs int, delay event.Cycle, flag mem.Addr, val int64) *gpu.KernelSpec {
-	return &gpu.KernelSpec{
-		Name: "pc", NumWGs: numWGs, WIsPerWG: 64,
-		Program: func(d gpu.Device) {
-			v := gpu.GlobalVar(flag)
-			if d.ID() == 0 {
-				d.Compute(delay)
-				d.AtomicStore(v, val)
-				return
-			}
-			d.AwaitEq(v, val)
-		},
-	}
+	return irKernel("pc", numWGs, func(b *prog.Builder) {
+		v := b.GVar(uint64(flag))
+		consumer, end := b.Label(), b.Label()
+		b.Br(prog.NE, b.Geom(prog.GeomID), prog.Imm(0), consumer)
+		b.Compute(prog.Imm(int64(delay)))
+		b.AtomicStore(v, prog.Imm(val))
+		b.Jmp(end)
+		b.Bind(consumer)
+		b.AwaitEq(v, prog.Imm(val))
+		b.Bind(end)
+	})
 }
 
 // lockContender builds a kernel where every WG takes a test-and-set lock a
 // few times around a shared counter.
 func lockContender(numWGs, iters int, lock, counter mem.Addr) *gpu.KernelSpec {
-	return &gpu.KernelSpec{
-		Name: "lock", NumWGs: numWGs, WIsPerWG: 64,
-		Program: func(d gpu.Device) {
-			v := gpu.GlobalVar(lock)
-			for i := 0; i < iters; i++ {
-				d.AcquireExch(v, 1, 0)
-				x := d.Load(counter)
-				d.Compute(100)
-				d.Store(counter, x+1)
-				d.AtomicExch(v, 0)
-			}
-		},
-	}
+	return irKernel("lock", numWGs, func(b *prog.Builder) {
+		v, c := b.GVar(uint64(lock)), b.GVar(uint64(counter))
+		repeat(b, iters, func(prog.Src) {
+			b.AcquireExch(v, prog.Imm(1), prog.Imm(0), false)
+			x := b.Load(c)
+			b.Compute(prog.Imm(100))
+			b.Store(c, b.Add(x, prog.Imm(1)))
+			b.AtomicExchX(v, prog.Imm(0))
+		})
+	})
+}
+
+// irKernel builds a kernel of numWGs 64-WI WGs whose program body emits.
+func irKernel(name string, numWGs int, body func(b *prog.Builder)) *gpu.KernelSpec {
+	b := prog.NewBuilder()
+	body(b)
+	return &gpu.KernelSpec{Name: name, NumWGs: numWGs, WIsPerWG: 64, IR: b.MustBuild()}
+}
+
+// repeat emits a loop that runs body n times; i counts iterations from 0.
+func repeat(b *prog.Builder, n int, body func(i prog.Src)) {
+	i := b.Let(prog.Imm(0))
+	end := b.Label()
+	top := b.Here()
+	b.Br(prog.GE, i, prog.Imm(int64(n)), end)
+	body(i)
+	b.ArithTo(prog.OpAdd, i, i, prog.Imm(1))
+	b.Jmp(top)
+	b.Bind(end)
 }
 
 func run(t *testing.T, spec *gpu.KernelSpec, pol gpu.Policy) (metrics.Result, *gpu.Machine) {
@@ -199,19 +215,24 @@ func TestFig12Walkthrough(t *testing.T) {
 	// Consumers wait on distinct flags so their conditions cannot share the
 	// single SyncMon entry.
 	const base = mem.Addr(0x5000)
-	spec := &gpu.KernelSpec{
-		Name: "walkthrough", NumWGs: 8, WIsPerWG: 64,
-		Program: func(d gpu.Device) {
-			if d.ID() == 0 {
-				d.Compute(20_000)
-				for i := 1; i < 8; i++ {
-					d.AtomicStore(gpu.GlobalVar(base+mem.Addr(i*64)), 1)
-				}
-				return
-			}
-			d.AwaitEq(gpu.GlobalVar(base+mem.Addr(int(d.ID())*64)), 1)
-		},
-	}
+	spec := irKernel("walkthrough", 8, func(b *prog.Builder) {
+		flags := make([]uint64, 8)
+		for i := range flags {
+			flags[i] = uint64(base + mem.Addr(i*64))
+		}
+		first := b.AddrRange(flags)
+		id := b.Geom(prog.GeomID)
+		consumer, end := b.Label(), b.Label()
+		b.Br(prog.NE, id, prog.Imm(0), consumer)
+		b.Compute(prog.Imm(20_000))
+		for i := 1; i < 8; i++ {
+			b.AtomicStore(prog.At(prog.Imm(first+int64(i)), prog.Global), prog.Imm(1))
+		}
+		b.Jmp(end)
+		b.Bind(consumer)
+		b.AwaitEq(prog.At(b.Add(prog.Imm(first), id), prog.Global), prog.Imm(1))
+		b.Bind(end)
+	})
 	m, err := gpu.NewMachine(testConfig(), mem.DefaultConfig(), spec, pol)
 	if err != nil {
 		t.Fatal(err)
@@ -297,17 +318,16 @@ func TestBaselineDeadlocksWhenOversubscribed(t *testing.T) {
 	cfg := testConfig() // 8 slots
 	cfg.ProgressWindow = 150_000
 	const flag = mem.Addr(0x9000)
-	spec := &gpu.KernelSpec{
-		Name: "inverted-pc", NumWGs: 12, WIsPerWG: 64,
-		Program: func(d gpu.Device) {
-			v := gpu.GlobalVar(flag)
-			if int(d.ID()) == 11 { // producer is the last WG dispatched
-				d.AtomicStore(v, 1)
-				return
-			}
-			d.AwaitEq(v, 1)
-		},
-	}
+	spec := irKernel("inverted-pc", 12, func(b *prog.Builder) {
+		v := b.GVar(uint64(flag))
+		consumer, end := b.Label(), b.Label()
+		b.Br(prog.NE, b.Geom(prog.GeomID), prog.Imm(11), consumer) // producer is the last WG dispatched
+		b.AtomicStore(v, prog.Imm(1))
+		b.Jmp(end)
+		b.Bind(consumer)
+		b.AwaitEq(v, prog.Imm(1))
+		b.Bind(end)
+	})
 	m, err := gpu.NewMachine(cfg, mem.DefaultConfig(), spec, policy.NewBaseline())
 	if err != nil {
 		t.Fatal(err)
@@ -345,17 +365,15 @@ func TestMonNROneAvoidsHerd(t *testing.T) {
 // waits on its own condition of one now-serving variable — the shape on
 // which sporadic notifications are maximally wasteful (Figure 9).
 func ticketContender(numWGs, iters int, tail, serving mem.Addr) *gpu.KernelSpec {
-	return &gpu.KernelSpec{
-		Name: "ticket", NumWGs: numWGs, WIsPerWG: 64,
-		Program: func(d gpu.Device) {
-			for i := 0; i < iters; i++ {
-				tkt := d.AtomicAdd(gpu.GlobalVar(tail), 1)
-				d.AwaitGE(gpu.GlobalVar(serving), tkt)
-				d.Compute(200)
-				d.AtomicAdd(gpu.GlobalVar(serving), 1)
-			}
-		},
-	}
+	return irKernel("ticket", numWGs, func(b *prog.Builder) {
+		tl, sv := b.GVar(uint64(tail)), b.GVar(uint64(serving))
+		repeat(b, iters, func(prog.Src) {
+			tkt := b.AtomicAdd(tl, prog.Imm(1))
+			b.AwaitGE(sv, tkt)
+			b.Compute(prog.Imm(200))
+			b.AtomicAddX(sv, prog.Imm(1))
+		})
+	})
 }
 
 // TestSporadicWakesAreWasteful: a checking monitor wakes exactly the served
@@ -426,24 +444,22 @@ func TestTimeoutWithdrawalDoesNotLoseCPWakeup(t *testing.T) {
 // mixed mutex+barrier kernel.
 func TestAWGPredictorActivity(t *testing.T) {
 	const lock, counter, bar = mem.Addr(0xe000), mem.Addr(0xe040), mem.Addr(0xe080)
-	spec := &gpu.KernelSpec{
-		Name: "mixed", NumWGs: 8, WIsPerWG: 64,
-		Program: func(d gpu.Device) {
-			for i := 0; i < 4; i++ {
-				d.AcquireExch(gpu.GlobalVar(lock), 1, 0)
-				x := d.Load(counter)
-				d.Compute(200)
-				d.Store(counter, x+1)
-				d.AtomicExch(gpu.GlobalVar(lock), 0)
-				// Barrier: counter sweep.
-				v := gpu.GlobalVar(bar)
-				target := int64((i + 1) * 8)
-				if d.AtomicAdd(v, 1)+1 != target {
-					d.AwaitGE(v, target)
-				}
-			}
-		},
-	}
+	spec := irKernel("mixed", 8, func(b *prog.Builder) {
+		l, c, v := b.GVar(uint64(lock)), b.GVar(uint64(counter)), b.GVar(uint64(bar))
+		repeat(b, 4, func(i prog.Src) {
+			b.AcquireExch(l, prog.Imm(1), prog.Imm(0), false)
+			x := b.Load(c)
+			b.Compute(prog.Imm(200))
+			b.Store(c, b.Add(x, prog.Imm(1)))
+			b.AtomicExchX(l, prog.Imm(0))
+			// Barrier: counter sweep.
+			target := b.Mul(b.Add(i, prog.Imm(1)), prog.Imm(8))
+			skip := b.Label()
+			b.Br(prog.EQ, b.Add(b.AtomicAdd(v, prog.Imm(1)), prog.Imm(1)), target, skip)
+			b.AwaitGE(v, target)
+			b.Bind(skip)
+		})
+	})
 	res, m := run(t, spec, policy.NewAWG())
 	if res.Deadlocked {
 		t.Fatal("deadlocked")

@@ -6,7 +6,7 @@ import "fmt"
 // addresses, and patches forward branches through labels. The zero Builder
 // is not usable; start with NewBuilder.
 //
-// The emit helpers mirror the gpu.Device surface. Value-producing pure ops
+// The emit helpers cover every op kind. Value-producing pure ops
 // allocate a fresh register per call site — ops are emitted once at build
 // time, so a loop body reuses the same registers on every iteration and
 // register files stay small.

@@ -1,19 +1,14 @@
-// Package prog defines the register-machine program IR that WG kernels can
-// be expressed in instead of Go closures. A Program is plain data — an
-// address pool, a register count, and a flat op list — covering the whole
-// gpu.Device surface (compute, loads/stores, the five atomics, SyncThreads,
-// the policy-lowered waits and acquires) plus the control flow the
-// HeteroSync-style kernels need: bounded loops and branches over registers,
-// and per-WG launch-geometry constants (ID, group, rank).
+// Package prog defines the register-machine program IR every WG kernel is
+// written in. A Program is plain data — an address pool, a register count,
+// and a flat op list — covering the device operations a WG issues (compute,
+// loads/stores, the five atomics, SyncThreads, the policy-lowered waits and
+// acquires) plus the control flow the HeteroSync-style kernels need:
+// bounded loops and branches over registers, and per-WG launch-geometry
+// constants (ID, group, rank).
 //
 // Because a Program is declarative data with no captured host state, the
-// machine can execute it inline — a resumable frame (pc + register file)
-// advanced directly in the response path, with no goroutine and no channel
-// rendezvous per device operation — and snapshots copy the frame instead of
-// replaying a response log. The same Program also runs unchanged against any
-// gpu.Device through the interpreter adapter (gpu.ExecIRProgram), which is
-// both the compatibility path and the differential-testing oracle: the two
-// executions must issue an identical device-operation sequence.
+// machine executes it inline — a resumable frame (pc + register file)
+// advanced directly in the response path — and snapshots copy the frame.
 //
 // Operands are Src values: a register index or an int64 immediate. Memory
 // operands are *pool indices* — the operand's value selects an address from
@@ -95,8 +90,7 @@ const (
 
 // OpKind enumerates the IR's operations. Pure ops execute inside the
 // interpreter with no simulated cost (they model the ALU work a real kernel
-// interleaves between synchronization operations, which the closure path
-// likewise executes for free between Device calls); device ops issue one
+// interleaves between synchronization operations); device ops issue one
 // simulated device operation each.
 type OpKind uint8
 
@@ -283,11 +277,18 @@ func (p *Program) Validate() error {
 			if err := checkPool(pc, op.A); err != nil {
 				return err
 			}
-			if err := checkSrc(pc, op.B); err != nil {
-				return err
+			// B and C are checked only where the kind reads them: an unused
+			// operand is the zero Src, which names r0 even in a program
+			// without registers.
+			if op.Kind != OpLoad && op.Kind != OpAtomicLoad {
+				if err := checkSrc(pc, op.B); err != nil {
+					return err
+				}
 			}
-			if err := checkSrc(pc, op.C); err != nil {
-				return err
+			if op.Kind == OpAtomicCAS || op.Kind == OpAcquireExch || op.Kind == OpAcquireCAS {
+				if err := checkSrc(pc, op.C); err != nil {
+					return err
+				}
 			}
 			if op.Scope > Local {
 				return fmt.Errorf("prog: op %d has unknown scope %d", pc, op.Scope)

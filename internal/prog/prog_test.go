@@ -148,6 +148,26 @@ func TestValidateAccepts(t *testing.T) {
 	}
 }
 
+// TestValidateIgnoresUnusedOperands pins that operands an op kind does not
+// read are not validated: the builder leaves them as the zero Src, which
+// names r0, so a program without registers must still build. An operand a
+// kind does read is still checked.
+func TestValidateIgnoresUnusedOperands(t *testing.T) {
+	b := NewBuilder()
+	v := b.GVar(0x40)
+	b.AtomicAddX(v, Imm(1))
+	b.AtomicStore(v, Imm(2))
+	b.AwaitGE(v, Imm(2))
+	b.AcquireExch(v, Imm(1), Imm(2), false)
+	if _, err := b.Build(); err != nil {
+		t.Fatalf("register-free program rejected: %v", err)
+	}
+	p := Program{Pool: []uint64{8}, Code: []Op{{Kind: OpAtomicCAS, Dst: -1, A: Imm(0), B: Imm(0), C: R(0)}}}
+	if err := p.Validate(); err == nil {
+		t.Fatal("CAS swap operand naming a missing register accepted")
+	}
+}
+
 func TestCmpTest(t *testing.T) {
 	cases := []struct {
 		c       Cmp

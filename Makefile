@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt lint lint-fix fuzz ci bench benchdiff exp quick litmus-quick
+.PHONY: all build test race vet vet-perfbench fmt lint lint-fix fuzz ci bench benchdiff exp quick litmus-quick
 
 all: build
 
@@ -15,6 +15,12 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# vet-perfbench type-checks the benchmark harness, a separate module that
+# the root `go test ./...` and `go vet ./...` skip: a session- or fleet-layer
+# name it calls must not disappear unnoticed.
+vet-perfbench:
+	cd perfbench && $(GO) vet ./...
 
 # fmt fails if any file needs reformatting (CI mode); run `gofmt -w .` to fix.
 fmt:
@@ -77,13 +83,13 @@ golden:
 litmus-quick:
 	$(GO) run ./cmd/awgexp -quick -exp litmus -golden GOLDEN_litmus.json > /dev/null
 
-# ci is the full gate: formatting, static checks (go vet plus the awglint
-# domain analyzers), the race-instrumented test suite (which exercises the
+# ci is the full gate: formatting, static checks (go vet on the root and
+# perfbench modules plus the awglint domain analyzers), the race-instrumented test suite (which exercises the
 # parallel experiment pool), the fuzz smokes, and the golden-record drift
 # checks (suite-wide and the standalone litmus conformance gate).
 # benchdiff is advisory (leading -): the trajectory spans machines, so a
 # wall-clock delta is a prompt to look, not a gate.
-ci: fmt vet lint race fuzz golden litmus-quick
+ci: fmt vet vet-perfbench lint race fuzz golden litmus-quick
 	-$(GO) run ./cmd/benchdiff
 
 # bench appends a perf-trajectory entry to BENCH_results.json and runs the

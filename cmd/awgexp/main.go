@@ -11,7 +11,6 @@
 //	awgexp -golden GOLDEN.json   # fail if outputs drift from the golden record
 //	awgexp -golden GOLDEN.json -update-golden   # rewrite the golden record
 //	awgexp -cpuprofile cpu.out   # profile the suite (see README, Profiling)
-//	awgexp -nodedupe             # simulate every run, even repeated configs
 //	awgexp -no-fork              # simulate every sweep member from cycle zero
 //	awgexp -snapshot-every 50000 # time-travel traces for diagnosed deadlocks
 //	awgexp -golden-out out.json  # also write this run's golden record
@@ -19,7 +18,7 @@
 //
 // Identical declarative configs recurring across experiments simulate
 // once and replay from the run cache (outputs are bit-identical either
-// way); -nodedupe opts out.
+// way).
 //
 // A failing experiment no longer aborts the suite: its error is reported,
 // the remaining experiments still run, and awgexp exits non-zero at the
@@ -111,15 +110,11 @@ func main() {
 		updGolden  = flag.Bool("update-golden", false, "rewrite the -golden file from this run instead of comparing")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the suite to this file")
 		memprofile = flag.String("memprofile", "", "write a heap allocation profile to this file at exit")
-		nodedupe   = flag.Bool("nodedupe", false, "disable run deduplication: simulate every job even when an identical Config already ran this invocation")
 		nofork     = flag.Bool("no-fork", false, "disable prefix-forked sweeps: simulate every fault-sweep member from cycle zero instead of forking a shared-prefix snapshot")
 		snapEvery  = flag.Uint64("snapshot-every", 0, "keep a ring of machine snapshots every N cycles; a diagnosed deadlock then attaches a time-travel trace replayed from the last pre-stall snapshot (0 = off; implies unforked runs)")
 		goldenOut  = flag.String("golden-out", "", "also write this run's golden record (deterministic outputs) to this file; CI diffs forked vs unforked records byte-for-byte")
 	)
 	flag.Parse()
-	if *nodedupe {
-		sim.SetDedupe(false)
-	}
 	if *nofork {
 		sim.SetForking(false)
 	}

@@ -2,9 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"awgsim/internal/event"
 	"awgsim/internal/fault"
@@ -83,38 +80,6 @@ func (o Options) fleetConfig(policy string, plane fleet.Schedule) fleet.Config {
 	}
 }
 
-// runFleets executes every fleet cell over min(GOMAXPROCS, n) workers.
-// Each fleet drives its own machines (each with its own single-goroutine
-// engine), so per-cell results are bit-identical to serial execution.
-func runFleets(cfgs []fleet.Config) ([]*fleet.Result, []error) {
-	res := make([]*fleet.Result, len(cfgs))
-	errs := make([]error, len(cfgs))
-	n := runtime.GOMAXPROCS(0)
-	if n > len(cfgs) {
-		n = len(cfgs)
-	}
-	if n < 1 {
-		n = 1
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < n; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(cfgs) {
-					return
-				}
-				res[i], errs[i] = fleet.New(cfgs[i]).Run()
-			}
-		}()
-	}
-	wg.Wait()
-	return res, errs
-}
-
 // Fleet is the fleet-scale robustness experiment: K devices, every IFP
 // policy (plus the Baseline control), every churn schedule — device loss
 // with mid-kernel WG migration, restore with rebalance, thermal derates,
@@ -137,7 +102,11 @@ func Fleet(o Options) (*metrics.Table, error) {
 			keys = append(keys, key{p, si})
 		}
 	}
-	results, errs := runFleets(cfgs)
+	// Each fleet drives its own machines (each with its own single-goroutine
+	// engine), so per-cell results are bit-identical to serial execution.
+	results := make([]*fleet.Result, len(cfgs))
+	errs := make([]error, len(cfgs))
+	sim.ForEach(len(cfgs), 0, func(i int) { results[i], errs[i] = fleet.New(cfgs[i]).Run() })
 
 	t := metrics.NewTable(
 		fmt.Sprintf("Fleet: %d devices x policy x churn schedule (2x capacity per device)", fleetDevices),

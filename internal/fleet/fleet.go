@@ -1,3 +1,18 @@
+// Package fleet scales the single-machine model out to a fleet: K
+// gpu.Machine devices multiplexing workloads under one deterministic
+// session, churned by a fleet-level fault plane (Config.Plane) injecting
+// seeded XID-style health events — device-fell-off-bus, thermal throttle,
+// uncorrectable ECC. New(cfg).Run() is the one entry point, and its
+// Result carries the health-event log remediation (migration, drain) was
+// keyed on.
+//
+// The layer's point is the paper's invariant at datacenter scale: a
+// policy that guarantees independent forward progress of work-groups
+// should survive device churn — mid-kernel work-groups migrate off a lost
+// device (checkpoint restore + live-state transplant, each WG's frame
+// copied back in place) and the run still completes — while Baseline-style busy-wait
+// policies hang and must be *diagnosed*, not merely time out. The SLO
+// checker in slo.go promotes fault.CheckOutcome to that fleet contract.
 package fleet
 
 import (
@@ -93,6 +108,25 @@ func (c *Config) fill() error {
 	return nil
 }
 
+// XID codes health events carry, matching the NVIDIA XID numbering fleet
+// managers key their remediation playbooks on. Events with no XID
+// equivalent (thermal derate, device restore) carry XIDNone.
+const (
+	XIDNone         uint64 = 0
+	XIDDoubleBitECC uint64 = 48 // uncorrectable double-bit ECC error
+	XIDFellOffBus   uint64 = 79 // device no longer responds on the bus
+)
+
+// HealthEvent is one entry of the fleet's health-event log: what happened,
+// to which device, at which fleet cycle.
+type HealthEvent struct {
+	At     event.Cycle
+	Device int
+	XID    uint64 // XIDNone for non-XID events
+	Kind   Kind
+	Detail string
+}
+
 // Device is one fleet device: bus membership, thermal state, and the
 // single-home container of the workloads placed on it. A workload id
 // lives in exactly one device's workloads slice (its home); attach and
@@ -100,8 +134,7 @@ func (c *Config) fill() error {
 type Device struct {
 	id        int
 	onBus     bool
-	scale     int // thermal derate factor, 1 = nominal
-	eccEvents int
+	scale     int   // thermal derate factor, 1 = nominal
 	workloads []int // live workload ids homed here, ascending
 }
 
@@ -170,28 +203,21 @@ type Result struct {
 	Violations  []Violation
 }
 
-// Fleet is the simulation of K devices under one fault plane. It
-// implements Injectable (and therefore Manager). Drive it New →
-// (optional Inject*At) → Run; Initialize and Shutdown are part of the
-// Manager surface and Run calls them itself when the caller does not.
+// Fleet is the simulation of K devices under one fault plane. Build it
+// with New and drive it with Run.
 type Fleet struct {
 	cfg  Config
 	devs []*Device
 	wls  []*workload
 
-	plan     []Event
-	planIdx  int
-	injected []Event
+	plan    []Event
+	planIdx int
 
 	clock    event.Cycle
 	degraded bool
-	shut     bool
-
-	initialized bool
-	ran         bool
+	ran      bool
 
 	events     []HealthEvent
-	collected  int // prefix of events already drained by CollectHealthEvents
 	migrations []Migration
 	violations []Violation
 }
@@ -199,17 +225,58 @@ type Fleet struct {
 // New builds an unstarted fleet from cfg.
 func New(cfg Config) *Fleet { return &Fleet{cfg: cfg} }
 
-// Initialize validates the configuration, constructs every workload's
-// machine with its reserved fault-sequence blocks, places workloads
-// round-robin, arms each home device's fault schedule, and takes the
-// genesis checkpoints. Idempotent.
-func (f *Fleet) Initialize() error {
-	if f.initialized {
-		return nil
+// Run validates the configuration and drives the fleet to completion:
+// place every workload, paced slices of every live workload between
+// plane-event/checkpoint boundaries, health events applied in schedule
+// order, checkpoints refreshed, the SLO scanned. It returns the assembled
+// Result; SLO violations are reported in it, not as an error. Run may be
+// called once.
+func (f *Fleet) Run() (*Result, error) {
+	if f.ran {
+		return nil, fmt.Errorf("fleet: Run called twice")
 	}
+	f.ran = true
 	if err := f.cfg.fill(); err != nil {
-		return err
+		return nil, err
 	}
+	if err := f.cfg.Plane.Validate(f.cfg.Devices); err != nil {
+		return nil, err
+	}
+	f.plan = f.cfg.Plane.Events
+	if err := f.place(); err != nil {
+		return nil, err
+	}
+
+	for f.clock < f.cfg.FleetBudget && f.liveCount() > 0 && !f.degraded {
+		next := f.nextBoundary()
+		f.advanceAll(next - f.clock)
+		f.clock = next
+		f.applyPlaneEvents()
+		if !f.degraded && f.clock%f.cfg.CheckpointEvery == 0 {
+			f.refreshCheckpoints()
+		}
+		f.sloScan()
+	}
+	// Fleet budget exhausted with live workloads: finish them diagnosed.
+	for _, w := range f.wls {
+		if !w.terminal {
+			w.m.Halt(metrics.ReasonFleetBudget)
+			f.finish(w)
+		}
+	}
+	res := f.result()
+	// Every workload is terminal and its checkpoints die with the fleet:
+	// recycle the device machines' buffers for the next fleet in the sweep.
+	for _, w := range f.wls {
+		w.m.ReleaseBuffers()
+	}
+	return res, nil
+}
+
+// place constructs every workload's machine with its reserved
+// fault-sequence blocks, places workloads round-robin, arms each home
+// device's fault schedule, and takes the genesis checkpoints.
+func (f *Fleet) place() error {
 	f.devs = make([]*Device, f.cfg.Devices)
 	for i := range f.devs {
 		f.devs[i] = &Device{id: i, onBus: true, scale: 1}
@@ -254,151 +321,7 @@ func (f *Fleet) Initialize() error {
 		w.ckpt = w.m.Snapshot()
 		f.wls[i] = w
 	}
-	f.initialized = true
 	return nil
-}
-
-// Shutdown finishes any still-live workloads (diagnosed as a fleet drain)
-// and marks the fleet closed. Run calls it after a normal run, where it
-// is a no-op on the already-terminal workloads. Idempotent.
-func (f *Fleet) Shutdown() error {
-	if f.shut {
-		return nil
-	}
-	if f.initialized {
-		for _, w := range f.wls {
-			if w.terminal {
-				continue
-			}
-			w.m.Halt(metrics.ReasonFleetDrain)
-			w.drained = true
-			f.finish(w)
-		}
-	}
-	f.shut = true
-	return nil
-}
-
-// GetDeviceCount reports the fleet size.
-func (f *Fleet) GetDeviceCount() (int, error) {
-	if err := f.Initialize(); err != nil {
-		return 0, err
-	}
-	return f.cfg.Devices, nil
-}
-
-// GetDeviceInfo reports a device's identity and current placement.
-func (f *Fleet) GetDeviceInfo(device int) (DeviceInfo, error) {
-	if err := f.Initialize(); err != nil {
-		return DeviceInfo{}, err
-	}
-	if device < 0 || device >= len(f.devs) {
-		return DeviceInfo{}, fmt.Errorf("fleet: device %d out of range [0,%d)", device, len(f.devs))
-	}
-	d := f.devs[device]
-	return DeviceInfo{ID: d.id, Workloads: append([]int(nil), d.workloads...)}, nil
-}
-
-// GetDeviceHealth reports a device's instantaneous health word.
-func (f *Fleet) GetDeviceHealth(device int) (DeviceHealth, error) {
-	if err := f.Initialize(); err != nil {
-		return DeviceHealth{}, err
-	}
-	if device < 0 || device >= len(f.devs) {
-		return DeviceHealth{}, fmt.Errorf("fleet: device %d out of range [0,%d)", device, len(f.devs))
-	}
-	d := f.devs[device]
-	return DeviceHealth{OnBus: d.onBus, ThermalScale: d.scale, ECCEvents: d.eccEvents}, nil
-}
-
-// CollectHealthEvents drains the health events recorded since the last
-// collection.
-func (f *Fleet) CollectHealthEvents() []HealthEvent {
-	out := append([]HealthEvent(nil), f.events[f.collected:]...)
-	f.collected = len(f.events)
-	return out
-}
-
-// InjectXIDHealthEventAt schedules an XID on a device before the run.
-func (f *Fleet) InjectXIDHealthEventAt(device int, xid uint64, at event.Cycle) error {
-	switch xid {
-	case XIDFellOffBus:
-		return f.inject(Event{At: at, Kind: DeviceLoss, Device: device})
-	case XIDDoubleBitECC:
-		return f.inject(Event{At: at, Kind: ECCError, Device: device, Pages: 1})
-	}
-	return fmt.Errorf("fleet: no injection for XID %d", xid)
-}
-
-// InjectThermalHealthEventAt schedules a clock derate (scale 1 clears).
-func (f *Fleet) InjectThermalHealthEventAt(device int, scale int, at event.Cycle) error {
-	return f.inject(Event{At: at, Kind: ThermalThrottle, Device: device, Scale: scale})
-}
-
-// InjectMemoryHealthEventAt schedules an uncorrectable ECC fault over a
-// page range.
-func (f *Fleet) InjectMemoryHealthEventAt(device int, page uint64, pages int, at event.Cycle) error {
-	return f.inject(Event{At: at, Kind: ECCError, Device: device, Page: page, Pages: pages})
-}
-
-func (f *Fleet) inject(e Event) error {
-	if f.ran {
-		return fmt.Errorf("fleet: injection after the run started")
-	}
-	f.injected = append(f.injected, e)
-	return nil
-}
-
-// Run drives the fleet to completion: paced slices of every live workload
-// between plane-event/checkpoint boundaries, health events applied in
-// schedule order, checkpoints refreshed, the SLO scanned. It returns the
-// assembled Result; SLO violations are reported in it, not as an error.
-// Run may be called once.
-func (f *Fleet) Run() (*Result, error) {
-	if f.ran {
-		return nil, fmt.Errorf("fleet: Run called twice")
-	}
-	if err := f.Initialize(); err != nil {
-		return nil, err
-	}
-	f.ran = true
-	// Merge pre-run injections into the plane, keeping schedule order
-	// stable for equal timestamps, and validate the merged plan.
-	merged := f.cfg.Plane
-	merged.Events = append(append([]Event(nil), merged.Events...), f.injected...)
-	sort.SliceStable(merged.Events, func(i, j int) bool { return merged.Events[i].At < merged.Events[j].At })
-	if err := merged.Validate(f.cfg.Devices); err != nil {
-		return nil, err
-	}
-	f.plan = merged.Events
-
-	for f.clock < f.cfg.FleetBudget && f.liveCount() > 0 && !f.degraded {
-		next := f.nextBoundary()
-		f.advanceAll(next - f.clock)
-		f.clock = next
-		f.applyPlaneEvents()
-		if !f.degraded && f.clock%f.cfg.CheckpointEvery == 0 {
-			f.refreshCheckpoints()
-		}
-		f.sloScan()
-	}
-	// Fleet budget exhausted with live workloads: finish them diagnosed.
-	for _, w := range f.wls {
-		if !w.terminal {
-			w.m.Halt(metrics.ReasonFleetBudget)
-			f.finish(w)
-		}
-	}
-	if err := f.Shutdown(); err != nil {
-		return nil, err
-	}
-	res := f.result()
-	// Every workload is terminal and its checkpoints die with the fleet:
-	// recycle the device machines' buffers for the next fleet in the sweep.
-	for _, w := range f.wls {
-		w.m.ReleaseBuffers()
-	}
-	return res, nil
 }
 
 // result assembles the final Result and runs the end-of-run SLO checks.
@@ -612,7 +535,6 @@ func (f *Fleet) throttleDevice(e Event) {
 // the pre-fault image.
 func (f *Fleet) eccError(e Event) {
 	d := f.devs[e.Device]
-	d.eccEvents++
 	seed := f.cfg.Plane.Seed ^ e.Page ^ uint64(e.At)<<16 ^ 0xecc0
 	resident := append([]int(nil), d.workloads...)
 	words := 0

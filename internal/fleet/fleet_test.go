@@ -16,9 +16,6 @@ import (
 	"awgsim/internal/sim"
 )
 
-// The Fleet is the reference Injectable (and therefore Manager) backend.
-var _ fleet.Injectable = (*fleet.Fleet)(nil)
-
 // tinyWorkload is a small oversubscribed simulation that finishes in a few
 // hundred thousand cycles under IFP policies and deadlocks (diagnosed)
 // under Baseline.
@@ -233,35 +230,15 @@ func TestBaselineDiagnosedUnderChurn(t *testing.T) {
 	}
 }
 
+// TestManagerSurface drives a hand-written plane through New(cfg).Run():
+// each scheduled event surfaces in Result.Events in time order with its
+// XID, the device loss migrates work, and the fleet runs only once.
 func TestManagerSurface(t *testing.T) {
-	f := fleet.New(tinyFleet("AWG", fleet.Schedule{Name: "steady"}))
-	if err := f.InjectThermalHealthEventAt(0, 2, 12_000); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.InjectXIDHealthEventAt(3, fleet.XIDFellOffBus, 18_000); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.InjectMemoryHealthEventAt(1, 0, 2, 22_000); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.InjectXIDHealthEventAt(0, 7, 1); err == nil {
-		t.Fatal("unknown XID accepted")
-	}
-	n, err := f.GetDeviceCount()
-	if err != nil || n != 4 {
-		t.Fatalf("GetDeviceCount = %d, %v", n, err)
-	}
-	info, err := f.GetDeviceInfo(0)
-	if err != nil || len(info.Workloads) != 1 || info.Workloads[0] != 0 {
-		t.Fatalf("GetDeviceInfo(0) = %+v, %v", info, err)
-	}
-	h, err := f.GetDeviceHealth(3)
-	if err != nil || !h.OnBus || h.ThermalScale != 1 {
-		t.Fatalf("GetDeviceHealth(3) = %+v, %v", h, err)
-	}
-	if _, err := f.GetDeviceInfo(9); err == nil {
-		t.Fatal("out-of-range device accepted")
-	}
+	f := fleet.New(tinyFleet("AWG", fleet.Schedule{Name: "hand", Events: []fleet.Event{
+		{At: 12_000, Kind: fleet.ThermalThrottle, Device: 0, Scale: 2},
+		{At: 18_000, Kind: fleet.DeviceLoss, Device: 3},
+		{At: 22_000, Kind: fleet.ECCError, Device: 1, Page: 0, Pages: 2},
+	}}))
 	r, err := f.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -269,34 +246,24 @@ func TestManagerSurface(t *testing.T) {
 	if _, err := f.Run(); err == nil {
 		t.Fatal("second Run accepted")
 	}
-	if err := f.InjectThermalHealthEventAt(0, 2, 99_000); err == nil {
-		t.Fatal("injection after run accepted")
-	}
-	// All three injections surfaced as health events, in time order.
-	evs := f.CollectHealthEvents()
-	if len(evs) != len(r.Events) {
-		t.Fatalf("collected %d events, result has %d", len(evs), len(r.Events))
-	}
-	if len(f.CollectHealthEvents()) != 0 {
-		t.Fatal("second collection not empty")
-	}
 	var kinds []fleet.Kind
-	for _, e := range evs {
+	var xids []uint64
+	for i, e := range r.Events {
+		if i > 0 && e.At < r.Events[i-1].At {
+			t.Fatalf("health events out of time order: %+v", r.Events)
+		}
 		kinds = append(kinds, e.Kind)
+		xids = append(xids, e.XID)
 	}
 	want := []fleet.Kind{fleet.ThermalThrottle, fleet.DeviceLoss, fleet.ECCError}
 	if !reflect.DeepEqual(kinds, want) {
 		t.Fatalf("health-event kinds %v, want %v", kinds, want)
 	}
-	health, err := f.GetDeviceHealth(3)
-	if err != nil || health.OnBus {
-		t.Fatalf("device 3 still on bus after XID 79: %+v, %v", health, err)
+	if wantXID := []uint64{fleet.XIDNone, fleet.XIDFellOffBus, fleet.XIDDoubleBitECC}; !reflect.DeepEqual(xids, wantXID) {
+		t.Fatalf("health-event XIDs %v, want %v", xids, wantXID)
 	}
 	if len(r.Migrations) == 0 {
-		t.Fatalf("injected device loss migrated nothing:\n%s", r)
-	}
-	if err := f.Shutdown(); err != nil {
-		t.Fatal(err)
+		t.Fatalf("device loss migrated nothing:\n%s", r)
 	}
 }
 
@@ -488,12 +455,15 @@ func TestConfigRejects(t *testing.T) {
 		{Devices: 2, MinDevices: 3, Workloads: []sim.Config{tinyWorkload("AWG", "SPM_G", 1)}},
 		{Devices: 2, Workloads: []sim.Config{tinyWorkload("AWG", "SPM_G", 1)}, DeviceFaults: []fault.Schedule{{}}},
 		{Devices: 2, Workloads: []sim.Config{{Benchmark: "SPM_G", Policy: "AWG", Faults: &fault.Schedule{}}}},
+		// The plane must be time-ordered; Run does not reorder it.
+		{Devices: 2, Workloads: []sim.Config{tinyWorkload("AWG", "SPM_G", 1)}, Plane: fleet.Schedule{Name: "unsorted", Events: []fleet.Event{
+			{At: 200, Kind: fleet.ThermalThrottle, Device: 0, Scale: 2},
+			{At: 100, Kind: fleet.ThermalThrottle, Device: 1, Scale: 2},
+		}}},
 	}
 	for i, cfg := range bad {
-		if err := fleet.New(cfg).Initialize(); err == nil {
+		if _, err := fleet.New(cfg).Run(); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
 	}
-	var zero event.Cycle
-	_ = zero
 }

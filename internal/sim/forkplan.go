@@ -1,12 +1,10 @@
 package sim
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"awgsim/internal/event"
 	"awgsim/internal/fault"
-	"awgsim/internal/metrics"
 )
 
 // Prefix-forked sweeps: a fault-injection sweep runs many configs that are
@@ -22,12 +20,12 @@ import (
 // which cannot reorder same-cycle events. CI verifies this by running the
 // golden suite forked and unforked and diffing byte-for-byte.
 //
-// Forking composes with the run cache (runcache.go): each member's result
-// is published under its own fingerprint, and members already cached replay
-// instead of re-running. The simulated-work ledger stays identical to the
-// cold path — each member accounts its full run — while ForkStats tracks
-// the wall-clock story: forked runs, prefix cycles not re-simulated, and
-// snapshot footprint.
+// Forking composes with the run cache (runcache.go): each member claims its
+// own fingerprint, members already cached replay instead of re-running, and
+// fresh members publish into the same insertion order and cap as any run.
+// The simulated-work ledger stays identical to the cold path — each member
+// accounts its full run — while ForkStats tracks the wall-clock story:
+// forked runs, prefix cycles not re-simulated, and snapshot footprint.
 
 var (
 	forkOff              atomic.Bool
@@ -182,7 +180,7 @@ func (g *forkGroup) run(jobs []Job, out []Outcome) {
 	}
 	m := s.m
 	m.Prepare()
-	limit := event.Cycle(prefixCfg.GPU.MaxCycles)
+	limit := m.CycleLimit()
 	stop := g.diverge - 1
 	if stop > limit {
 		stop = limit
@@ -199,38 +197,29 @@ func (g *forkGroup) run(jobs []Job, out []Outcome) {
 	forkSnapBytes.Add(uint64(snap.Bytes()))
 
 	ran := uint64(0)
-	needFinish := true // the prefix (or an arm-failed restore) ran without a FinishRun
+	needFinish := true // the prefix (or an arm-failed restore) ran without a Finish
 	for i := range g.members {
 		mem := &g.members[i]
-		key := jobs[mem.idx].Key
-		entry, cached := claimFork(mem.key)
-		if cached {
-			out[mem.idx] = replayFork(key, entry)
+		o := Outcome{Key: jobs[mem.idx].Key}
+		e, owner := claim(mem.key)
+		if !owner {
+			o.Result, o.Err = e.replay()
+			out[mem.idx] = o
 			continue
 		}
 		m.Restore(snap)
 		needFinish = true
-		var res metrics.Result
-		armed := true
-		err := fault.ArmReserved(m, *mem.cfg.Faults, s.seqBase)
-		if err != nil {
-			armed = false // failed before simulating; entry is retractable
+		if o.Err = fault.ArmReserved(m, *mem.cfg.Faults, s.seqBase); o.Err != nil {
+			// Failed before simulating: the entry is retractable.
+			e.publish(mem.key, o.Result, o.Err, false)
 		} else {
 			ran++
 			m.RunTo(limit)
-			res = m.FinishRun()
+			o.Result, o.Err = s.Finish()
 			needFinish = false
-			totalCycles.Add(res.Cycles)
-			totalRuns.Add(1)
-			if !res.Deadlocked && !mem.cfg.SkipVerify && s.verify != nil {
-				if verr := s.verify(m.Mem().Read); verr != nil {
-					err = fmt.Errorf("sim: %s under %s completed but failed validation: %w",
-						res.Benchmark, res.Policy, verr)
-				}
-			}
+			e.publish(mem.key, o.Result, o.Err, true)
 		}
-		finishFork(entry, mem.key, res, err, armed)
-		out[mem.idx] = Outcome{Key: key, Result: res, Err: err}
+		out[mem.idx] = o
 	}
 	if ran > 0 {
 		forkForks.Add(ran)
@@ -244,53 +233,4 @@ func (g *forkGroup) run(jobs []Job, out []Outcome) {
 	// The group is done with its machine (and with snap, which dies here),
 	// so its buffers can seed the next group's construction.
 	m.ReleaseBuffers()
-}
-
-// claimFork claims key in the run cache, or waits out a prior claim.
-// cached=true returns the finished entry; cached=false returns a fresh
-// claimed entry the caller must finishFork. A nil entry means deduplication
-// is off.
-func claimFork(key string) (*cacheEntry, bool) {
-	if dedupeOff.Load() {
-		return nil, false
-	}
-	cacheMu.Lock()
-	if e := runCache[key]; e != nil {
-		cacheMu.Unlock()
-		<-e.done
-		return e, true
-	}
-	e := &cacheEntry{done: make(chan struct{})}
-	runCache[key] = e
-	cacheMu.Unlock()
-	return e, false
-}
-
-// replayFork converts a finished cache entry into an outcome, accounting
-// the replayed run exactly like runDeduped.
-func replayFork(key string, e *cacheEntry) Outcome {
-	if !e.ran {
-		return Outcome{Key: key, Err: e.err}
-	}
-	cacheHits.Add(1)
-	totalCycles.Add(e.res.Cycles)
-	totalRuns.Add(1)
-	return Outcome{Key: key, Result: e.res, Err: e.err}
-}
-
-// finishFork publishes a member's result under its claimed entry. ran=false
-// marks a failure before simulation (arm error) — mirrored from
-// runDeduped's construction-error path, the entry is dropped so a later
-// attempt retries.
-func finishFork(e *cacheEntry, key string, res metrics.Result, err error, ran bool) {
-	if e == nil {
-		return
-	}
-	e.res, e.err, e.ran = res, err, ran
-	close(e.done)
-	if !ran {
-		cacheMu.Lock()
-		delete(runCache, key)
-		cacheMu.Unlock()
-	}
 }

@@ -105,11 +105,11 @@ func TestForkComposesWithRunCache(t *testing.T) {
 	t.Cleanup(ResetCache)
 	jobs := faultJobs()
 
-	t.Cleanup(func() { SetDedupe(true); SetForking(true) })
-	SetDedupe(false)
+	t.Cleanup(func() { setDedupe(true); SetForking(true) })
+	setDedupe(false)
 	SetForking(false)
 	cold := RunAllWorkers(jobs, 1)
-	SetDedupe(true)
+	setDedupe(true)
 	SetForking(true)
 	doubled := append(append([]Job{}, jobs...), jobs...)
 	hits0 := CacheHits()
@@ -131,6 +131,43 @@ func TestForkComposesWithRunCache(t *testing.T) {
 					doubled[i].Key, name, cr, gr)
 			}
 		}
+	}
+}
+
+// TestForkEntriesObeyCacheCap: fork-group members publish into the run
+// cache through the same insertion order as any run, so the cap bounds
+// them and every resident entry is reachable by the evictor.
+func TestForkEntriesObeyCacheCap(t *testing.T) {
+	ResetCache()
+	t.Cleanup(ResetCache)
+	setRunCacheCap(4)
+	t.Cleanup(func() { setRunCacheCap(defaultRunCacheCap) })
+	ResetForkStats()
+	jobs := faultJobs()
+	for _, o := range RunAllWorkers(jobs, 1) {
+		if o.Err != nil {
+			t.Fatalf("%s: %v", o.Key, o.Err)
+		}
+	}
+	if forks, _, _ := ForkStats(); forks == 0 {
+		t.Fatal("fork planner idle; the test exercises nothing")
+	}
+	cacheMu.Lock()
+	n, q := len(runCache), liveQueueLen()
+	cacheMu.Unlock()
+	if n != 4 || q != 4 {
+		t.Fatalf("cache holds %d entries (queue %d) after %d forked runs at cap 4", n, q, len(jobs))
+	}
+
+	// Two workers publish concurrently. The last insert cannot evict the
+	// other worker's in-flight entry, so one entry over the cap may stay.
+	ResetCache()
+	RunAllWorkers(jobs, 2)
+	cacheMu.Lock()
+	n, q = len(runCache), liveQueueLen()
+	cacheMu.Unlock()
+	if n > 5 || q != n {
+		t.Fatalf("cache holds %d entries (queue %d) after %d forked runs on 2 workers at cap 4", n, q, len(jobs))
 	}
 }
 

@@ -47,43 +47,50 @@ func RunAll(jobs []Job) []Outcome {
 // bit-identical to its cold run and lands at its job's index.
 func RunAllWorkers(jobs []Job, n int) []Outcome {
 	units := planUnits(jobs)
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	if n > len(units) {
-		n = len(units)
-	}
 	out := make([]Outcome, len(jobs))
-	runUnit := func(u unit) {
-		if u.group != nil {
+	ForEach(len(units), n, func(i int) {
+		if u := units[i]; u.group != nil {
 			u.group.run(jobs, out)
-			return
+		} else {
+			out[u.single] = runJob(jobs[u.single])
 		}
-		out[u.single] = runJob(jobs[u.single])
+	})
+	return out
+}
+
+// ForEach calls fn(i) for every i in [0, n) over min(workers, n) goroutines
+// that claim indices in order from a shared counter; workers <= 0 selects
+// GOMAXPROCS. With one worker the calls run in index order on the calling
+// goroutine. fn must only write state owned by its index.
+func ForEach(n, workers int, fn func(i int)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	if n <= 1 {
-		for _, u := range units {
-			runUnit(u)
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
 		}
-		return out
+		return
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < n; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(units) {
+				if i >= n {
 					return
 				}
-				runUnit(units[i])
+				fn(i)
 			}
 		}()
 	}
 	wg.Wait()
-	return out
 }
 
 func runJob(j Job) Outcome {

@@ -25,8 +25,9 @@ import (
 //
 // Replays still account one run's cycles in Totals(), so the simulated-work
 // ledger (and the golden record's sim_cycles/sim_runs) is identical with
-// and without deduplication; only wall-clock changes. SetDedupe(false)
-// restores the always-simulate behaviour.
+// and without deduplication; only wall-clock changes. Fork-group members
+// (forkplan.go) claim, replay and publish through the same helpers, so
+// their entries share the insertion order and the cap.
 
 type cacheEntry struct {
 	done chan struct{} // closed when res/err/ran are final
@@ -60,30 +61,20 @@ var (
 	// cacheHead are zeroed. Both guarded by cacheMu.
 	cacheQueue []cacheQueueEntry
 	cacheHead  int
-	cacheCap   = defaultRunCacheCap
-
+	// cacheCap bounds the resident entries (a value <= 0 removes the
+	// bound). Only tests change it (setRunCacheCap), or set dedupeOff to
+	// make every run simulate.
+	cacheCap  = defaultRunCacheCap
 	dedupeOff atomic.Bool
+
 	cacheHits atomic.Uint64
 
-	// testHookConstruct, when set (tests only), runs after a first arrival
-	// claims its fingerprint and before session construction — the window
-	// where ResetCache can swap the map out from under it.
+	// testHookConstruct, when set (tests only), runs in Run just before
+	// session construction: for a first arrival, after it claims its
+	// fingerprint, the window where ResetCache can swap the map out from
+	// under it.
 	testHookConstruct func()
 )
-
-// SetDedupe toggles run deduplication (on by default).
-func SetDedupe(on bool) { dedupeOff.Store(!on) }
-
-// SetRunCacheCap bounds how many completed runs stay resident (default
-// 8192); the oldest entries are evicted first. n <= 0 removes the bound.
-// Eviction never changes results or the Totals() ledger — an evicted
-// duplicate simply re-simulates, bit-identically, on its next arrival.
-func SetRunCacheCap(n int) {
-	cacheMu.Lock()
-	cacheCap = n
-	evictLocked()
-	cacheMu.Unlock()
-}
 
 // CacheHits reports how many runs were satisfied by replaying a cached
 // duplicate since process start (or the last ResetCache).
@@ -183,63 +174,86 @@ func fingerprint(c *Config) (string, bool) {
 	return b.String(), true
 }
 
-// runDeduped executes cfg through the run cache: the first arrival of a
-// fingerprint simulates (concurrent duplicates wait on it — singleflight),
-// later arrivals replay the cached Result and account a run in Totals().
-func runDeduped(cfg Config) (metrics.Result, error) {
-	if err := cfg.fill(); err != nil {
-		return metrics.Result{}, err
-	}
-	key, ok := fingerprint(&cfg)
-	if !ok || dedupeOff.Load() {
-		return runFresh(cfg)
+// claim files key in the run cache for the caller to simulate. When a
+// prior arrival holds key, claim waits for its outcome (singleflight) and
+// returns that entry with owner=false for the caller to replay. Otherwise
+// owner=true and the caller must publish the returned entry, which is nil
+// when deduplication is off (publishing nil is a no-op).
+func claim(key string) (e *cacheEntry, owner bool) {
+	if dedupeOff.Load() {
+		return nil, true
 	}
 	cacheMu.Lock()
-	e := runCache[key]
-	if e != nil {
+	if e = runCache[key]; e != nil {
 		cacheMu.Unlock()
 		<-e.done
-		if e.ran {
-			cacheHits.Add(1)
-			totalCycles.Add(e.res.Cycles)
-			totalRuns.Add(1)
-			return e.res, e.err
-		}
-		// The first arrival failed before running (construction error):
-		// nothing was cached, so report the same failure afresh.
-		return metrics.Result{}, e.err
+		return e, false
 	}
 	e = insertLocked(key)
 	cacheMu.Unlock()
+	return e, true
+}
 
+// replay returns a finished entry's outcome, accounting one run in Totals()
+// exactly like the simulation it stands for. An entry whose first arrival
+// failed before running (construction or fault-arm error) cached nothing,
+// so the same failure is reported afresh.
+func (e *cacheEntry) replay() (metrics.Result, error) {
+	if !e.ran {
+		return metrics.Result{}, e.err
+	}
+	cacheHits.Add(1)
+	totalCycles.Add(e.res.Cycles)
+	totalRuns.Add(1)
+	return e.res, e.err
+}
+
+// publish files the owner's outcome under key and wakes its waiters.
+// ran=false marks a failure before simulating: the entry is dropped so a
+// later arrival retries.
+func (e *cacheEntry) publish(key string, res metrics.Result, err error, ran bool) {
+	if e == nil {
+		return
+	}
+	e.res, e.err, e.ran = res, err, ran
+	cacheMu.Lock()
+	if ran {
+		e.completed = true
+	} else {
+		dropFailedLocked(key, e)
+	}
+	cacheMu.Unlock()
+	close(e.done)
+}
+
+// Run builds and executes one simulation through the run cache: the first
+// arrival of a fingerprint simulates (concurrent duplicates wait on it),
+// later arrivals replay the cached Result. Configs that cannot be
+// fingerprinted simulate without touching the cache. Callers needing
+// post-run access to the machine use NewSession directly, which always
+// simulates.
+func Run(cfg Config) (metrics.Result, error) {
+	if err := cfg.fill(); err != nil {
+		return metrics.Result{}, err
+	}
+	var e *cacheEntry
+	key, ok := fingerprint(&cfg)
+	if ok {
+		var owner bool
+		if e, owner = claim(key); !owner {
+			return e.replay()
+		}
+	}
 	if h := testHookConstruct; h != nil {
 		h()
 	}
 	s, err := NewSession(cfg)
 	if err != nil {
-		e.err = err
-		close(e.done)
-		cacheMu.Lock()
-		dropFailedLocked(key, e)
-		cacheMu.Unlock()
+		e.publish(key, metrics.Result{}, err, false)
 		return metrics.Result{}, err
 	}
-	e.res, e.err = s.Run()
+	res, err := s.Run()
 	s.Release()
-	e.ran = true
-	cacheMu.Lock()
-	e.completed = true
-	cacheMu.Unlock()
-	close(e.done)
-	return e.res, e.err
-}
-
-func runFresh(cfg Config) (metrics.Result, error) {
-	s, err := NewSession(cfg)
-	if err != nil {
-		return metrics.Result{}, err
-	}
-	res, rerr := s.Run()
-	s.Release()
-	return res, rerr
+	e.publish(key, res, err, true)
+	return res, err
 }

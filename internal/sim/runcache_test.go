@@ -56,8 +56,8 @@ func TestDedupeReplaysIdenticalResult(t *testing.T) {
 		t.Fatalf("Totals() = %d cycles, %d runs; replay must account a run (want %d, 2)",
 			cycles, runs, 2*r1.Cycles)
 	}
-	SetDedupe(false)
-	defer SetDedupe(true)
+	setDedupe(false)
+	defer setDedupe(true)
 	r3, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -105,8 +105,8 @@ func TestDedupeSkipsClosures(t *testing.T) {
 // the newest entries replay, the oldest re-simulate after eviction.
 func TestRunCacheBounded(t *testing.T) {
 	ResetCache()
-	SetRunCacheCap(4)
-	defer SetRunCacheCap(defaultRunCacheCap)
+	setRunCacheCap(4)
+	defer setRunCacheCap(defaultRunCacheCap)
 	for seed := uint64(101); seed <= 108; seed++ {
 		if _, err := Run(quickConfig("SPM_G", "AWG", false, seed)); err != nil {
 			t.Fatal(err)
@@ -140,8 +140,8 @@ func TestRunCacheBounded(t *testing.T) {
 func TestEvictionSkipsInFlight(t *testing.T) {
 	ResetCache()
 	defer ResetCache()
-	SetRunCacheCap(2)
-	defer SetRunCacheCap(defaultRunCacheCap)
+	setRunCacheCap(2)
+	defer setRunCacheCap(defaultRunCacheCap)
 	cacheMu.Lock()
 	inflight := &cacheEntry{done: make(chan struct{})}
 	runCache["k0"] = inflight
@@ -183,13 +183,16 @@ func TestResetCacheRacesConstructionError(t *testing.T) {
 		t.Fatal("config not fingerprintable")
 	}
 
+	// Each arrival parks on its own release channel, so releasing arrival 1
+	// can never wake arrival 2 instead.
 	ready := make(chan int)
-	proceed := make(chan struct{})
+	release := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
 	arrivals := 0
 	testHookConstruct = func() {
 		arrivals++
-		ready <- arrivals
-		<-proceed
+		n := arrivals
+		ready <- n
+		<-release[n-1]
 	}
 	defer func() { testHookConstruct = nil }()
 
@@ -200,7 +203,7 @@ func TestResetCacheRacesConstructionError(t *testing.T) {
 	go func() { _, err := Run(cfg); errs <- err }()
 	<-ready // arrival 2 owns the key in the new map, parked mid-construction
 
-	proceed <- struct{}{} // arrival 1: construction fails, cleanup runs
+	close(release[0]) // arrival 1: construction fails, cleanup runs
 	if err := <-errs; err == nil {
 		t.Fatal("unknown benchmark built")
 	}
@@ -211,7 +214,7 @@ func TestResetCacheRacesConstructionError(t *testing.T) {
 		t.Fatal("arrival 1's cleanup deleted arrival 2's in-flight entry")
 	}
 
-	proceed <- struct{}{} // arrival 2 finishes (and removes its own entry)
+	close(release[1]) // arrival 2 finishes (and removes its own entry)
 	if err := <-errs; err == nil {
 		t.Fatal("unknown benchmark built")
 	}
@@ -286,17 +289,17 @@ func (m *fifoModel) remove(e *cacheEntry) {
 
 // TestRunCacheEvictionMatchesFIFOModel drives the cache's internals with
 // random inserts, completions, construction-error deletes (singly and in
-// bursts), ResetCache and SetRunCacheCap changes, and after every step checks that the resident
+// bursts), ResetCache and setRunCacheCap changes, and after every step checks that the resident
 // entries, in queue order, are exactly the naive FIFO model's — so the
 // eviction order is the model's — and that the queue stays O(cap +
 // in-flight) long.
 func TestRunCacheEvictionMatchesFIFOModel(t *testing.T) {
-	defer SetRunCacheCap(defaultRunCacheCap)
+	defer setRunCacheCap(defaultRunCacheCap)
 	defer ResetCache()
 	for seed := uint64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewPCG(seed, 0))
 		ResetCache()
-		SetRunCacheCap(1 + rng.IntN(16))
+		setRunCacheCap(1 + rng.IntN(16))
 		cacheMu.Lock()
 		m := &fifoModel{cap: cacheCap, keys: map[*cacheEntry]string{}}
 		cacheMu.Unlock()
@@ -344,7 +347,7 @@ func TestRunCacheEvictionMatchesFIFOModel(t *testing.T) {
 			case r < 99:
 				n := rng.IntN(20) - 2
 				cacheMu.Unlock()
-				SetRunCacheCap(n)
+				setRunCacheCap(n)
 				cacheMu.Lock()
 				m.cap = n
 				m.evict()
@@ -383,8 +386,8 @@ func BenchmarkRunCacheInsert(b *testing.B) {
 	for _, capN := range []int{64, 8192} {
 		b.Run(fmt.Sprintf("cap=%d", capN), func(b *testing.B) {
 			ResetCache()
-			SetRunCacheCap(capN)
-			defer SetRunCacheCap(defaultRunCacheCap)
+			setRunCacheCap(capN)
+			defer setRunCacheCap(defaultRunCacheCap)
 			defer ResetCache()
 			// A key comes back 2*cap+1 inserts later, long after its eviction.
 			keys := make([]string, 2*capN+1)

@@ -249,28 +249,20 @@ func (s *Session) InjectedLatency() uint64 {
 }
 
 // Run executes the session's simulation to completion, deadlock, or the
-// cycle cap, then functionally validates a completed run (unless
-// SkipVerify). A deadlocked run is not an error — Result.Deadlocked
-// reports it. Run may be called once.
+// cycle cap, then finishes it like Finish. A deadlocked run is not an
+// error — Result.Deadlocked reports it. Run may be called once.
 func (s *Session) Run() (metrics.Result, error) {
-	res := s.m.Run()
-	totalCycles.Add(res.Cycles)
-	totalRuns.Add(1)
-	if !res.Deadlocked && !s.cfg.SkipVerify && s.verify != nil {
-		if verr := s.verify(s.m.Mem().Read); verr != nil {
-			return res, fmt.Errorf("sim: %s under %s completed but failed validation: %w",
-				res.Benchmark, res.Policy, verr)
-		}
-	}
-	return res, nil
+	s.m.Prepare()
+	s.m.RunTo(s.m.CycleLimit())
+	return s.Finish()
 }
 
-// Finish completes a staged run the caller drove itself through
-// Machine().Prepare/RunTo (the fleet layer's per-slice pacing does this):
-// it classifies and tears the run down (gpu.Machine.FinishRun), accounts
-// the simulated work in the process-wide ledger, and functionally
-// validates a completed run exactly like Run. Call once, after the last
-// RunTo.
+// Finish completes a run: it classifies and tears the run down
+// (gpu.Machine.FinishRun), accounts the simulated work in the process-wide
+// ledger, and functionally validates a completed run (unless SkipVerify).
+// Run ends here; a caller driving Machine().Prepare/RunTo itself (the fleet
+// layer's per-slice pacing, a fork group's members) calls it after its
+// last RunTo.
 func (s *Session) Finish() (metrics.Result, error) {
 	res := s.m.FinishRun()
 	totalCycles.Add(res.Cycles)
@@ -282,15 +274,6 @@ func (s *Session) Finish() (metrics.Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// Run builds and executes one simulation. Fully-declarative Configs are
-// run-deduplicated: a Config equal to one already simulated this process
-// replays its cached Result (see runcache.go; SetDedupe(false) opts out).
-// Callers needing post-run access to the machine use NewSession directly,
-// which always simulates.
-func Run(cfg Config) (metrics.Result, error) {
-	return runDeduped(cfg)
 }
 
 // totalCycles/totalRuns account all simulated work since process start (or

@@ -27,12 +27,26 @@ func quickConfig(bench, policy string, oversub bool, seed uint64) Config {
 	}
 }
 
+// setDedupe toggles run deduplication (on by default).
+func setDedupe(on bool) { dedupeOff.Store(!on) }
+
+// setRunCacheCap bounds how many completed runs stay resident (n <= 0
+// removes the bound) and evicts down to it. Eviction never changes results
+// or the Totals() ledger: an evicted duplicate simply re-simulates,
+// bit-identically, on its next arrival.
+func setRunCacheCap(n int) {
+	cacheMu.Lock()
+	cacheCap = n
+	evictLocked()
+	cacheMu.Unlock()
+}
+
 // disableDedupe turns the run cache off for one test, so repeated runs
 // genuinely re-simulate (replays would make determinism checks vacuous).
 func disableDedupe(t *testing.T) {
 	t.Helper()
-	SetDedupe(false)
-	t.Cleanup(func() { SetDedupe(true) })
+	setDedupe(false)
+	t.Cleanup(func() { setDedupe(true) })
 }
 
 // TestRunAllMatchesSerial is the determinism regression the package doc

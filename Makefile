@@ -28,18 +28,19 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # lint runs awglint, the repo's domain analyzer suite: simdeterminism,
-# hotpathalloc, hotpathmap, snapcover, fpcover, replaypure, waiterhome,
-# ctorerr, schedpast, plus reduced nilness and shadow checks. Suppress a
-# justified finding with `//lint:allow <analyzer> <reason>` on (or above)
-# the offending line. The wall-clock cost of the suite is recorded into
+# hotpathalloc, hotpathmap, snapcover, fpcover, replaypure, waiterhome and
+# ctorerr, each guarding one of the simulator's own invariants (DESIGN.md
+# section 7). Suppress a justified finding with
+# `//lint:allow <analyzer> <reason>` on (or above) the offending line. The
+# wall-clock cost of the suite is recorded into
 # the newest BENCH_results.json trajectory entry (tooling.lint_secs) so
 # analyzer-cost regressions show up alongside the perf trajectory.
 lint:
 	$(GO) run ./cmd/awglint -bench-json BENCH_results.json ./...
 
-# lint-fix applies the mechanical SuggestedFixes (e.g. After(0) -> After(1),
-# replaypure's `if !m.replaying { ... }` gate) in place, then re-reports
-# anything that remains.
+# lint-fix applies the mechanical SuggestedFixes (replaypure's
+# `if !m.replaying { ... }` gate) in place, then re-reports anything that
+# remains.
 lint-fix:
 	$(GO) run ./cmd/awglint -fix ./...
 

@@ -4,11 +4,9 @@
 //
 // Usage:
 //
-//	go run ./cmd/awglint ./...                     # report findings (exit 1 if any)
-//	go run ./cmd/awglint -fix ./...                # also apply mechanical suggested fixes
-//	go run ./cmd/awglint -json ./...               # machine-readable findings
-//	go run ./cmd/awglint -write-baseline B ./...   # snapshot current findings
-//	go run ./cmd/awglint -baseline B ./...         # report only new findings
+//	go run ./cmd/awglint ./...                      # report findings (exit 1 if any)
+//	go run ./cmd/awglint -fix ./...                 # also apply mechanical suggested fixes
+//	go run ./cmd/awglint -bench-json FILE ./...     # stamp the lint wall time into FILE
 //
 // Findings are suppressed line-by-line with a justified directive:
 //
@@ -23,10 +21,7 @@ import (
 	"awgsim/internal/lint/analyzers/fpcover"
 	"awgsim/internal/lint/analyzers/hotpathalloc"
 	"awgsim/internal/lint/analyzers/hotpathmap"
-	"awgsim/internal/lint/analyzers/nilness"
 	"awgsim/internal/lint/analyzers/replaypure"
-	"awgsim/internal/lint/analyzers/schedpast"
-	"awgsim/internal/lint/analyzers/shadow"
 	"awgsim/internal/lint/analyzers/simdeterminism"
 	"awgsim/internal/lint/analyzers/snapcover"
 	"awgsim/internal/lint/analyzers/waiterhome"
@@ -43,8 +38,5 @@ func main() {
 		replaypure.Analyzer,
 		waiterhome.Analyzer,
 		ctorerr.Analyzer,
-		schedpast.Analyzer,
-		nilness.Analyzer,
-		shadow.Analyzer,
 	)
 }

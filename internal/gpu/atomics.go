@@ -14,7 +14,7 @@ import (
 // its value applies. The SyncMon implementations subscribe through this.
 type AtomicObserver func(by *WG, v Var, op AtomicOp, old, new int64)
 
-// atomicUnit is the production atomic pipeline: it routes atomics and
+// atomicUnit is the atomic pipeline: it routes atomics and
 // monitor arms to the variable's synchronization point with the memory
 // system's timing, applies value effects at bank-service time, fans out to
 // observers, and keeps the Table 2 synchronization characterization.

@@ -193,7 +193,7 @@ func TestIssueTallyOracleSnapshotRestore(t *testing.T) {
 func TestCharEpisodeRestart(t *testing.T) {
 	spec := irKernel("char", 2, noop)
 	m := newTestMachine(t, testConfig(), spec, nil)
-	au := m.atomics.(*atomicUnit)
+	au := m.atomics
 	v := GlobalVar(0x8000)
 	w0, w1 := m.allWGs[0], m.allWGs[1]
 	update := func(n int) {
@@ -249,7 +249,7 @@ func TestCharSnapshotMidEpisode(t *testing.T) {
 
 	m := newTestMachine(t, testConfig(), spec, nil)
 	m.Prepare()
-	au := m.atomics.(*atomicUnit)
+	au := m.atomics
 	c := func() *varChar { return au.charFor(GlobalVar(flag)) }
 	cut := event.Cycle(0)
 	for c().updates == 0 || len(c().epWGs) < 2 {
@@ -284,7 +284,7 @@ func TestReadyQueueOrderMatchesFullSort(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		s := m.sched.(*scheduler)
+		s := m.sched
 		rng := rand.New(rand.NewSource(seed))
 		var ref []*WG
 		type saved struct {

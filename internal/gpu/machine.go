@@ -34,9 +34,10 @@ type Policy interface {
 
 // Machine is the whole simulated GPU. It owns the event engine, the memory
 // hierarchy, the WG frames and the device operations they issue, and wires
-// three collaborators (see subsystems.go) that do everything else: the
-// dispatcher places WGs onto CUs, the atomic pipeline services atomics at
-// the L2, and the context engine saves and restores WG contexts.
+// three collaborators that do everything else: the scheduler places WGs
+// onto CUs (scheduler.go), the atomic unit services atomics at the L2
+// (atomics.go), and the context switcher saves and restores WG contexts
+// (context.go).
 type Machine struct {
 	cfg  Config
 	eng  *event.Engine
@@ -44,9 +45,9 @@ type Machine struct {
 	spec *KernelSpec
 	pol  Policy
 
-	sched   dispatcher
-	atomics atomicPipeline
-	ctx     contextEngine
+	sched   *scheduler
+	atomics *atomicUnit
+	ctx     *ctxSwitcher
 
 	wgs     []*WG // primary kernel's WGs (results, charz)
 	kernels []*kernelRun

@@ -2,7 +2,7 @@ package gpu
 
 import "awgsim/internal/event"
 
-// scheduler is the production dispatcher: it owns the CU resource pools and
+// scheduler is the dispatcher: it owns the CU resource pools and
 // the two WG queues and places WGs onto CUs whenever resources free up. It
 // asks the context engine to restore ready WGs and the machine to launch
 // never-started ones.

@@ -180,14 +180,7 @@ func cloneVarChar(c *varChar) varChar {
 // Snapshot captures the machine's simulated state. It must be called between
 // events (from the driving goroutine, or from within a single event).
 func (m *Machine) Snapshot() *Snapshot {
-	sched, ok := m.sched.(*scheduler)
-	if !ok {
-		panic("gpu: Snapshot requires the production scheduler")
-	}
-	au, ok := m.atomics.(*atomicUnit)
-	if !ok {
-		panic("gpu: Snapshot requires the production atomic pipeline")
-	}
+	sched, au := m.sched, m.atomics
 	s := &Snapshot{
 		eng:          m.eng.Snapshot(),
 		mem:          m.mem.Snapshot(),
@@ -265,8 +258,7 @@ func (m *Machine) Snapshot() *Snapshot {
 // continues with RunTo/FinishRun and is bit-identical to a run that was
 // never interrupted.
 func (m *Machine) Restore(s *Snapshot) {
-	sched := m.sched.(*scheduler)
-	au := m.atomics.(*atomicUnit)
+	sched, au := m.sched, m.atomics
 	m.eng.Restore(s.eng)
 	m.mem.Restore(s.mem)
 	m.Count = s.count

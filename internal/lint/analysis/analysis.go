@@ -46,6 +46,30 @@ type Analyzer struct {
 	Run func(*Pass) (any, error)
 }
 
+// Target names one declaration an analyzer's rule table refers to by
+// name: a package (matched by import-path suffix), a type or function in
+// it, and optionally a field or method of that type. Analyzers with such
+// tables export them (a Targets function) so a test can resolve every
+// entry against the real module: a rename then fails the test instead of
+// silently switching the rule off.
+type Target struct {
+	PkgSuffix string // e.g. "/cp"; the package alone when Name is empty
+	Name      string // a type, or a function or method declared in the package
+	Member    string // a field or method of type Name; empty when unused
+}
+
+// String renders the target as suffix.Name.Member.
+func (t Target) String() string {
+	s := t.PkgSuffix
+	if t.Name != "" {
+		s += "." + t.Name
+	}
+	if t.Member != "" {
+		s += "." + t.Member
+	}
+	return s
+}
+
 // Pass provides one analyzed package to an Analyzer's Run function.
 type Pass struct {
 	Analyzer  *Analyzer
@@ -63,28 +87,13 @@ type Pass struct {
 
 	// ImportPackageFact returns the fact this pass's analyzer exported for
 	// an already-analyzed package (a dependency in the current driver run).
-	// The driver installs it; nil when the driver does not support facts.
+	// The driver installs it.
 	ImportPackageFact func(pkgPath string) (any, bool)
 
 	// ExportPackageFact publishes a fact for the current package, visible
 	// to later passes of the same analyzer via ImportPackageFact. The
-	// driver installs it; nil when the driver does not support facts.
+	// driver installs it.
 	ExportPackageFact func(fact any)
-}
-
-// PackageFact is a nil-safe ImportPackageFact.
-func (p *Pass) PackageFact(pkgPath string) (any, bool) {
-	if p.ImportPackageFact == nil {
-		return nil, false
-	}
-	return p.ImportPackageFact(pkgPath)
-}
-
-// ExportFact is a nil-safe ExportPackageFact.
-func (p *Pass) ExportFact(fact any) {
-	if p.ExportPackageFact != nil {
-		p.ExportPackageFact(fact)
-	}
 }
 
 // Reportf reports a formatted diagnostic at pos.

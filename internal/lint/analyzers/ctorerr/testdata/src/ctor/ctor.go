@@ -23,6 +23,16 @@ func newScratch() *Mon { return &Mon{} }
 // business.
 func Newish() *Mon { return &Mon{} }
 
+// policy holds a constructed component in a field, as the real policies
+// hold their SyncMon and CP.
+type policy struct{ mon *Mon }
+
+// build is the shape of the origin bug re-introduced in a policy
+// constructor: a plain assignment into a field with the error blanked.
+func (p *policy) build(ways int) {
+	p.mon, _ = New(ways) // want `error from New discarded with blank identifier`
+}
+
 func use() *Mon {
 	New(4)         // want `result of New dropped`
 	m, _ := New(4) // want `error from New discarded with blank identifier`

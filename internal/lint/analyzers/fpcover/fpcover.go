@@ -42,6 +42,15 @@ type Fact struct {
 	Read      map[string]bool // Config fields the fingerprint consumes
 }
 
+// Targets lists the declarations the analyzer finds by name: the session
+// Config and its fingerprint function.
+func Targets() []analysis.Target {
+	return []analysis.Target{
+		{PkgSuffix: "/sim", Name: "Config"},
+		{PkgSuffix: "/sim", Name: "fingerprint"},
+	}
+}
+
 func run(pass *analysis.Pass) (any, error) {
 	r := pass.ResultOf[interproc.Analyzer].(*interproc.Result)
 	pkgPath := pass.Pkg.Path()
@@ -49,12 +58,12 @@ func run(pass *analysis.Pass) (any, error) {
 	var facts []*Fact
 	if strings.HasSuffix(pkgPath, "/sim") || pkgPath == "sim" {
 		if f := computeFact(pass, r); f != nil {
-			pass.ExportFact(f)
+			pass.ExportPackageFact(f)
 			facts = append(facts, f)
 		}
 	}
 	for _, imp := range pass.Pkg.Imports() {
-		if v, ok := pass.PackageFact(imp.Path()); ok {
+		if v, ok := pass.ImportPackageFact(imp.Path()); ok {
 			if f, ok := v.(*Fact); ok {
 				facts = append(facts, f)
 			}

@@ -30,6 +30,7 @@ package hotpathalloc
 import (
 	"go/ast"
 	"go/types"
+	"sort"
 	"strings"
 
 	"awgsim/internal/lint/analysis"
@@ -48,6 +49,20 @@ var Analyzer = &analysis.Analyzer{
 // (or adjacent to) the event hot path. Suffix matching keeps the analyzer
 // testable from analysistest testdata packages of the same name.
 var hotPackages = []string{"/gpu", "/syncmon", "/policy"}
+
+// Targets lists the hot-path packages and the Engine scheduling methods
+// the analyzer matches by name.
+func Targets() []analysis.Target {
+	var ts []analysis.Target
+	for _, p := range hotPackages {
+		ts = append(ts, analysis.Target{PkgSuffix: p})
+	}
+	for m := range interproc.SchedMethods {
+		ts = append(ts, analysis.Target{PkgSuffix: "/event", Name: "Engine", Member: m})
+	}
+	sort.Slice(ts, func(i, j int) bool { return ts[i].String() < ts[j].String() })
+	return ts
+}
 
 func run(pass *analysis.Pass) (any, error) {
 	if !inScope(pass.Pkg.Path()) {

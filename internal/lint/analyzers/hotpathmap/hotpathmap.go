@@ -23,6 +23,7 @@ package hotpathmap
 import (
 	"go/ast"
 	"go/types"
+	"sort"
 	"strings"
 
 	"awgsim/internal/lint/analysis"
@@ -74,6 +75,18 @@ var scopes = []scope{
 			"LoadTiming": true, "StoreTiming": true,
 		},
 	},
+}
+
+// Targets lists every hot package and root function the scopes table names.
+func Targets() []analysis.Target {
+	var ts []analysis.Target
+	for _, sc := range scopes {
+		for fn := range sc.roots {
+			ts = append(ts, analysis.Target{PkgSuffix: sc.pkgSuffix, Name: fn})
+		}
+	}
+	sort.Slice(ts, func(i, j int) bool { return ts[i].String() < ts[j].String() })
+	return ts
 }
 
 func run(pass *analysis.Pass) (any, error) {

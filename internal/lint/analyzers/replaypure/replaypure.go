@@ -41,6 +41,17 @@ var Analyzer = &analysis.Analyzer{
 	Run:      run,
 }
 
+// Targets lists the declarations the analyzer finds by name: the replay
+// flag and transfer pair of the machine it guards, and Engine.Stop.
+func Targets() []analysis.Target {
+	return []analysis.Target{
+		{PkgSuffix: "/gpu", Name: "Machine", Member: "replaying"},
+		{PkgSuffix: "/gpu", Name: "Machine", Member: "Snapshot"},
+		{PkgSuffix: "/gpu", Name: "Machine", Member: "Restore"},
+		{PkgSuffix: "/event", Name: "Engine", Member: "Stop"},
+	}
+}
+
 func run(pass *analysis.Pass) (any, error) {
 	r := pass.ResultOf[interproc.Analyzer].(*interproc.Result)
 	pkgPath := pass.Pkg.Path()

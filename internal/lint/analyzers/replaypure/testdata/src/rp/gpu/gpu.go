@@ -67,10 +67,21 @@ func (m *Machine) Prepare() {
 	}
 	m.eng.AtWithSeq(4, watch)
 
+	// The snapshot-ring tick with its gate dropped, the push behind a
+	// helper hop: a replay would grow the ring it is replaying from.
+	m.eng.After(6, func() {
+		m.pushRing()
+	})
+
 	// Printed output duplicates under replay.
 	m.eng.After(5, func() {
 		fmt.Println("heartbeat") // want `fmt\.Println in the replay window`
 	})
+}
+
+// pushRing is reached only through the ungated tick above.
+func (m *Machine) pushRing() {
+	m.snapRing = append(m.snapRing, m.cycles) // want `write to Machine\.snapRing \(not snapshot-covered\) in the replay window`
 }
 
 // noteDiag is reached only through the scheduled watch closure.

@@ -35,8 +35,10 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // home describes one protected container: the owning type (matched by
-// package-path suffix + type name, so testdata stand-ins work), the fields
-// holding waiter state, and the functions allowed to mutate them.
+// package-path suffix + type name, so testdata packages of the same shape
+// match), the fields holding waiter state, and the functions allowed to
+// mutate them. Every name must resolve in the real module
+// (TestRuleTargetsResolve in cmd/awglint).
 type home struct {
 	pkgSuffix string
 	typeName  string
@@ -46,14 +48,11 @@ type home struct {
 
 var homes = []home{
 	{
-		// SyncMon condition cache: conditions, waiters, and the slab store
-		// holding them move together through registration/wake/evict paths.
-		// (sets/byAddr/monitored survive as testdata stand-in fields.)
+		// SyncMon condition cache: the slab store holding conditions and
+		// their waiters, and the live counts, move together through the
+		// registration/wake/evict paths.
 		pkgSuffix: "/syncmon", typeName: "SyncMon",
-		fields: map[string]bool{
-			"sets": true, "waiters": true, "byAddr": true,
-			"monitored": true, "conds": true, "store": true,
-		},
+		fields: map[string]bool{"waiters": true, "conds": true, "store": true},
 		approved: map[string]bool{
 			"New": true, "Register": true, "Unregister": true,
 			"dropEntry": true, "observe": true, "wakeAllOnAddr": true,
@@ -61,15 +60,6 @@ var homes = []home{
 			// Restore rewrites every container of the home from one saved
 			// image, so the single-home invariant holds by construction.
 			"Restore": true,
-		},
-	},
-	{
-		// A condition entry's waiter queue is part of the cache home.
-		pkgSuffix: "/syncmon", typeName: "condEntry",
-		fields: map[string]bool{"waiters": true},
-		approved: map[string]bool{
-			"Register": true, "Unregister": true, "observe": true,
-			"wakeAllOnAddr": true, "Degrade": true, "dropEntry": true,
 		},
 	},
 	{
@@ -133,13 +123,9 @@ var homes = []home{
 	},
 	{
 		// CP spilled-condition table, its walk order, and the wake buffer
-		// waiters travel through. (table/inTable/addrs/removed survive as
-		// testdata stand-in fields.)
+		// waiters travel through.
 		pkgSuffix: "/cp", typeName: "Processor",
-		fields: map[string]bool{
-			"table": true, "order": true, "inTable": true,
-			"addrs": true, "removed": true, "tab": true, "wakeBuf": true,
-		},
+		fields: map[string]bool{"tab": true, "order": true, "wakeBuf": true},
 		approved: map[string]bool{
 			"New": true, "Unregister": true, "drainPass": true,
 			"dropCond": true, "runCheckResult": true,
@@ -194,6 +180,21 @@ var homes = []home{
 		fields:   map[string]bool{"workloads": true},
 		approved: map[string]bool{"attach": true, "detach": true},
 	},
+}
+
+// Targets lists every type, field and function the homes table names.
+func Targets() []analysis.Target {
+	var ts []analysis.Target
+	for _, h := range homes {
+		for f := range h.fields {
+			ts = append(ts, analysis.Target{PkgSuffix: h.pkgSuffix, Name: h.typeName, Member: f})
+		}
+		for fn := range h.approved {
+			ts = append(ts, analysis.Target{PkgSuffix: h.pkgSuffix, Name: fn})
+		}
+	}
+	sort.Slice(ts, func(i, j int) bool { return ts[i].String() < ts[j].String() })
+	return ts
 }
 
 func run(pass *analysis.Pass) (any, error) {

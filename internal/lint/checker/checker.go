@@ -8,6 +8,7 @@ package checker
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -63,57 +64,28 @@ func Run(dir string, patterns []string, analyzers []*analysis.Analyzer, fix bool
 	if err != nil {
 		return nil, err
 	}
-
-	closure := analyzerClosure(analyzers)
+	ex, err := NewExecutor(graph, analyzers)
+	if err != nil {
+		return nil, err
+	}
 	known := map[string]*analysis.Analyzer{}
-	for _, a := range closure {
+	for _, a := range analyzerClosure(analyzers) {
 		known[a.Name] = a
-	}
-	var factBased []*analysis.Analyzer
-	for _, a := range closure {
-		if a.FactBased {
-			factBased = append(factBased, a)
-		}
-	}
-
-	ex := &executor{
-		results: map[passKey]passResult{},
-		facts:   map[*analysis.Analyzer]map[string]any{},
-	}
-
-	// Dependency-first sweep: give every fact-based analyzer a chance to
-	// export facts for each module package before its importers run.
-	for _, p := range graph {
-		if len(p.TypeErrors) > 0 {
-			return nil, fmt.Errorf("%s: type errors: %v", p.PkgPath, p.TypeErrors[0])
-		}
-		for _, a := range factBased {
-			if _, err := ex.run(p, a); err != nil {
-				return nil, err
-			}
-		}
 	}
 
 	var findings []Finding
-	isRoot := map[*load.Package]bool{}
-	for _, p := range roots {
-		isRoot[p] = true
-	}
 	for _, p := range roots {
 		if p.Standard {
 			continue
 		}
-		if len(p.TypeErrors) > 0 {
-			return nil, fmt.Errorf("%s: type errors: %v", p.PkgPath, p.TypeErrors[0])
-		}
 		directives, bad := parseDirectives(p, known)
 		findings = append(findings, bad...)
 		for _, a := range analyzers {
-			res, err := ex.run(p, a)
+			_, diags, err := ex.Run(p, a)
 			if err != nil {
 				return nil, err
 			}
-			for _, d := range res.diags {
+			for _, d := range diags {
 				pos := p.Fset.Position(d.Pos)
 				if suppressed(directives, a.Name, pos) {
 					continue
@@ -175,9 +147,13 @@ func analyzerClosure(analyzers []*analysis.Analyzer) []*analysis.Analyzer {
 	return out
 }
 
-// executor memoizes per-(package, analyzer) runs and holds the shared
-// in-memory fact store for the driver invocation.
-type executor struct {
+// Executor runs analyzers on loaded packages the way the driver does: each
+// analyzer's Requires run first on the same package, results are memoized
+// per (package, analyzer), and every analyzer shares one in-memory fact
+// store for the invocation. The analysistest harness runs its `// want`
+// suites through it too, so they exercise the driver's fact and Requires
+// wiring.
+type Executor struct {
 	results map[passKey]passResult
 	facts   map[*analysis.Analyzer]map[string]any
 }
@@ -192,9 +168,41 @@ type passResult struct {
 	diags []analysis.Diagnostic
 }
 
+// NewExecutor checks that every package in graph type-checks, then runs
+// each fact-based analyzer in the analyzers' Requires closure over graph in
+// its dependency-first order, so package facts exist before importers are
+// analyzed.
+func NewExecutor(graph []*load.Package, analyzers []*analysis.Analyzer) (*Executor, error) {
+	ex := &Executor{
+		results: map[passKey]passResult{},
+		facts:   map[*analysis.Analyzer]map[string]any{},
+	}
+	closure := analyzerClosure(analyzers)
+	for _, p := range graph {
+		if len(p.TypeErrors) > 0 {
+			return nil, fmt.Errorf("%s: type errors: %v", p.PkgPath, p.TypeErrors[0])
+		}
+		for _, a := range closure {
+			if !a.FactBased {
+				continue
+			}
+			if _, err := ex.run(p, a); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return ex, nil
+}
+
+// Run returns a's result value and diagnostics on p.
+func (ex *Executor) Run(p *load.Package, a *analysis.Analyzer) (any, []analysis.Diagnostic, error) {
+	res, err := ex.run(p, a)
+	return res.value, res.diags, err
+}
+
 // run executes one analyzer on one package, running its Requires first and
 // wiring their results and the analyzer's fact store into the pass.
-func (ex *executor) run(p *load.Package, a *analysis.Analyzer) (passResult, error) {
+func (ex *Executor) run(p *load.Package, a *analysis.Analyzer) (passResult, error) {
 	key := passKey{p, a}
 	if res, ok := ex.results[key]; ok {
 		return res, nil
@@ -396,91 +404,6 @@ func applyFixes(findings []Finding) error {
 	return nil
 }
 
-// baselineKey identifies a finding for baseline matching. Line numbers are
-// deliberately excluded so unrelated edits above a known finding don't make
-// it look new; the count per key catches genuine duplicates.
-func baselineKey(f Finding, wd string) string {
-	file := relTo(f.Position.Filename, wd)
-	return f.Package + "|" + file + "|" + f.Analyzer + "|" + f.Message
-}
-
-func relTo(path, wd string) string {
-	if wd == "" {
-		return path
-	}
-	if rel, ok := strings.CutPrefix(path, wd+string(os.PathSeparator)); ok {
-		return rel
-	}
-	return path
-}
-
-// baselineFile is the on-disk baseline format: finding keys to counts.
-type baselineFile struct {
-	Comment  string         `json:"comment,omitempty"`
-	Findings map[string]int `json:"findings"`
-}
-
-// loadBaseline reads a baseline written by -write-baseline.
-func loadBaseline(path string) (map[string]int, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var bf baselineFile
-	if err := json.Unmarshal(data, &bf); err != nil {
-		return nil, fmt.Errorf("baseline %s: %v", path, err)
-	}
-	if bf.Findings == nil {
-		bf.Findings = map[string]int{}
-	}
-	return bf.Findings, nil
-}
-
-// writeBaseline records the findings so later runs fail only on new ones.
-func writeBaseline(path string, findings []Finding, wd string) error {
-	bf := baselineFile{
-		Comment:  "awglint baseline: known findings tolerated by CI; regenerate with awglint -write-baseline",
-		Findings: map[string]int{},
-	}
-	for _, f := range findings {
-		bf.Findings[baselineKey(f, wd)]++
-	}
-	data, err := json.MarshalIndent(bf, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// filterBaseline drops findings covered by the baseline, consuming counts
-// so N baselined instances tolerate at most N occurrences.
-func filterBaseline(findings []Finding, baseline map[string]int, wd string) []Finding {
-	budget := make(map[string]int, len(baseline))
-	for k, v := range baseline {
-		budget[k] = v
-	}
-	var out []Finding
-	for _, f := range findings {
-		k := baselineKey(f, wd)
-		if budget[k] > 0 {
-			budget[k]--
-			continue
-		}
-		out = append(out, f)
-	}
-	return out
-}
-
-// jsonFinding is the -json output shape, one object per finding.
-type jsonFinding struct {
-	Package  string `json:"package"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
 // recordBenchTiming writes the lint wall time into the "tooling" section of
 // the newest trajectory entry in a BENCH_results.json-shaped file.
 func recordBenchTiming(path string, elapsed time.Duration, nFindings int) error {
@@ -518,126 +441,49 @@ func Main(analyzers ...*analysis.Analyzer) {
 
 // MainInto is Main with injectable output and arguments, for testing.
 //
-// Flags: -fix applies suggested fixes; -json emits findings as a JSON
-// array; -baseline FILE tolerates findings recorded in FILE and fails only
-// on new ones; -write-baseline FILE records the current findings and exits
-// zero; -bench-json FILE stamps the lint wall time into FILE's newest
-// trajectory entry (tooling section).
+// Flags: -fix applies suggested fixes; -bench-json FILE stamps the lint
+// wall time into FILE's newest trajectory entry (tooling section).
 func MainInto(w io.Writer, args []string, analyzers ...*analysis.Analyzer) int {
-	fix := false
-	asJSON := false
-	baselinePath := ""
-	writeBaselinePath := ""
-	benchJSONPath := ""
-	var patterns []string
-	for i := 0; i < len(args); i++ {
-		a := args[i]
-		stringFlag := func(name string) (string, bool) {
-			if a != "-"+name && a != "--"+name {
-				return "", false
-			}
-			if i+1 >= len(args) {
-				fmt.Fprintf(w, "awglint: -%s needs a file argument\n", name)
-				return "", false
-			}
-			i++
-			return args[i], true
+	fs := flag.NewFlagSet("awglint", flag.ContinueOnError)
+	fs.SetOutput(w)
+	fix := fs.Bool("fix", false, "apply suggested fixes in place")
+	benchJSON := fs.String("bench-json", "", "stamp the lint wall time into `file`'s newest trajectory entry")
+	fs.Usage = func() {
+		fmt.Fprintln(w, "usage: awglint [-fix] [-bench-json file] [packages]")
+		fs.PrintDefaults()
+		fmt.Fprintln(w, "analyzers:")
+		for _, an := range analyzers {
+			doc, _, _ := strings.Cut(an.Doc, "\n")
+			fmt.Fprintf(w, "  %-16s %s\n", an.Name, doc)
 		}
-		switch {
-		case a == "-fix" || a == "--fix":
-			fix = true
-		case a == "-json" || a == "--json":
-			asJSON = true
-		case a == "-baseline" || a == "--baseline":
-			v, ok := stringFlag("baseline")
-			if !ok {
-				return 2
-			}
-			baselinePath = v
-		case a == "-write-baseline" || a == "--write-baseline":
-			v, ok := stringFlag("write-baseline")
-			if !ok {
-				return 2
-			}
-			writeBaselinePath = v
-		case a == "-bench-json" || a == "--bench-json":
-			v, ok := stringFlag("bench-json")
-			if !ok {
-				return 2
-			}
-			benchJSONPath = v
-		case a == "-h" || a == "--help":
-			fmt.Fprintln(w, "usage: awglint [-fix] [-json] [-baseline file] [-write-baseline file] [-bench-json file] [packages]")
-			fmt.Fprintln(w, "analyzers:")
-			for _, an := range analyzers {
-				doc, _, _ := strings.Cut(an.Doc, "\n")
-				fmt.Fprintf(w, "  %-16s %s\n", an.Name, doc)
-			}
+	}
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
 			return 0
-		case strings.HasPrefix(a, "-"):
-			fmt.Fprintf(w, "awglint: unknown flag %s\n", a)
-			return 2
-		default:
-			patterns = append(patterns, a)
 		}
+		return 2
 	}
 
 	start := time.Now() //lint:allow simdeterminism tooling wall-clock for the lint-cost trajectory, not simulator state
-	findings, err := Run("", patterns, analyzers, fix)
+	findings, err := Run("", fs.Args(), analyzers, *fix)
 	elapsed := time.Since(start) //lint:allow simdeterminism tooling wall-clock for the lint-cost trajectory, not simulator state
 	if err != nil {
 		fmt.Fprintf(w, "awglint: %v\n", err)
 		return 2
 	}
-	wd, _ := os.Getwd()
-
-	if benchJSONPath != "" {
-		if err := recordBenchTiming(benchJSONPath, elapsed, len(findings)); err != nil {
+	if *benchJSON != "" {
+		if err := recordBenchTiming(*benchJSON, elapsed, len(findings)); err != nil {
 			fmt.Fprintf(w, "awglint: recording timing: %v\n", err)
 			return 2
 		}
 	}
-	if writeBaselinePath != "" {
-		if err := writeBaseline(writeBaselinePath, findings, wd); err != nil {
-			fmt.Fprintf(w, "awglint: writing baseline: %v\n", err)
-			return 2
+	wd, _ := os.Getwd()
+	for _, f := range findings {
+		pos := f.Position
+		if rel, ok := strings.CutPrefix(pos.Filename, wd+string(os.PathSeparator)); ok && wd != "" {
+			pos.Filename = rel
 		}
-		fmt.Fprintf(w, "awglint: baseline with %d finding(s) written to %s\n", len(findings), writeBaselinePath)
-		return 0
-	}
-	if baselinePath != "" {
-		baseline, err := loadBaseline(baselinePath)
-		if err != nil {
-			fmt.Fprintf(w, "awglint: %v\n", err)
-			return 2
-		}
-		findings = filterBaseline(findings, baseline, wd)
-	}
-
-	if asJSON {
-		out := make([]jsonFinding, 0, len(findings))
-		for _, f := range findings {
-			out = append(out, jsonFinding{
-				Package:  f.Package,
-				File:     relTo(f.Position.Filename, wd),
-				Line:     f.Position.Line,
-				Column:   f.Position.Column,
-				Analyzer: f.Analyzer,
-				Message:  f.Message,
-			})
-		}
-		data, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			fmt.Fprintf(w, "awglint: %v\n", err)
-			return 2
-		}
-		fmt.Fprintln(w, string(data))
-	} else {
-		for _, f := range findings {
-			pos := f.Position
-			pos.Filename = relTo(pos.Filename, wd)
-			fmt.Fprintf(w, "%s: %s: %s\n", pos, f.Analyzer, f.Message)
-		}
+		fmt.Fprintf(w, "%s: %s: %s\n", pos, f.Analyzer, f.Message)
 	}
 	if len(findings) > 0 {
 		return 1

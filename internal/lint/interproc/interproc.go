@@ -322,7 +322,7 @@ func run(pass *analysis.Pass) (any, error) {
 	// Merge dependency facts: effects of module functions below us in the
 	// DAG. The driver has already run ipsummary over them.
 	for _, imp := range pass.Pkg.Imports() {
-		if f, ok := pass.PackageFact(imp.Path()); ok {
+		if f, ok := pass.ImportPackageFact(imp.Path()); ok {
 			if fact, ok := f.(*Fact); ok {
 				for k, s := range fact.Funcs {
 					r.Funcs[k] = s
@@ -419,7 +419,7 @@ func run(pass *analysis.Pass) (any, error) {
 	for _, obj := range r.Order {
 		fact.Funcs[r.Keys[obj]] = r.Funcs[r.Keys[obj]]
 	}
-	pass.ExportFact(fact)
+	pass.ExportPackageFact(fact)
 	return r, nil
 }
 

@@ -4,13 +4,14 @@ import (
 	"testing"
 
 	"awgsim/internal/lint/analysis"
+	"awgsim/internal/lint/checker"
 	"awgsim/internal/lint/interproc"
 	"awgsim/internal/lint/load"
 )
 
-// runOver mirrors the driver: ipsummary over the dependency graph in
-// dependency-first order with a shared fact store, returning the Result of
-// the named root package.
+// runOver runs ipsummary through the driver's executor (dependency-first
+// over the graph, one shared fact store) and returns the Result of the
+// named root package.
 func runOver(t *testing.T, wantPkg string) *interproc.Result {
 	t.Helper()
 	_, graph, err := load.LoadGraph("",
@@ -18,38 +19,21 @@ func runOver(t *testing.T, wantPkg string) *interproc.Result {
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	facts := map[string]any{}
-	var out *interproc.Result
+	ex, err := checker.NewExecutor(graph, []*analysis.Analyzer{interproc.Analyzer})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, p := range graph {
-		if len(p.TypeErrors) > 0 {
-			t.Fatalf("%s: type errors: %v", p.PkgPath, p.TypeErrors[0])
-		}
-		pass := &analysis.Pass{
-			Analyzer:  interproc.Analyzer,
-			Fset:      p.Fset,
-			Files:     p.Files,
-			Pkg:       p.Types,
-			TypesInfo: p.Info,
-			Report:    func(analysis.Diagnostic) {},
-			ImportPackageFact: func(pkgPath string) (any, bool) {
-				f, ok := facts[pkgPath]
-				return f, ok
-			},
-		}
-		pkgPath := p.PkgPath
-		pass.ExportPackageFact = func(fact any) { facts[pkgPath] = fact }
-		v, err := interproc.Analyzer.Run(pass)
-		if err != nil {
-			t.Fatalf("%s: %v", p.PkgPath, err)
-		}
 		if p.PkgPath == wantPkg {
-			out = v.(*interproc.Result)
+			v, _, err := ex.Run(p, interproc.Analyzer)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return v.(*interproc.Result)
 		}
 	}
-	if out == nil {
-		t.Fatalf("package %s not analyzed", wantPkg)
-	}
-	return out
+	t.Fatalf("package %s not analyzed", wantPkg)
+	return nil
 }
 
 const (

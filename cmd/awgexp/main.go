@@ -63,11 +63,18 @@ type benchEntry struct {
 	Error        string  `json:"error,omitempty"`
 }
 
+// goldenEpoch numbers the simulated-output generation the golden records
+// pin. It is bumped whenever a model change intentionally re-pins them, so
+// trajectory entries of different epochs are known to simulate different
+// work. Epoch 2: the CP reads each monitored address once per check pass.
+const goldenEpoch = 2
+
 // benchReport is one -json trajectory entry: a perf snapshot of the
 // experiment suite, comparable across commits when quick/workers match.
 // The trajectory file holds an array of these, one appended per run.
 type benchReport struct {
 	Generated   string       `json:"generated"`
+	GoldenEpoch int          `json:"golden_epoch"`
 	GOMAXPROCS  int          `json:"gomaxprocs"`
 	Workers     int          `json:"workers"` // 0 = GOMAXPROCS
 	Quick       bool         `json:"quick"`
@@ -166,10 +173,11 @@ func main() {
 
 	report := benchReport{
 		//lint:allow simdeterminism bench-report timestamp; never enters simulated state or golden output
-		Generated:  time.Now().UTC().Format(time.RFC3339),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Workers:    *workers,
-		Quick:      *quick,
+		Generated:   time.Now().UTC().Format(time.RFC3339),
+		GoldenEpoch: goldenEpoch,
+		GOMAXPROCS:  runtime.GOMAXPROCS(0),
+		Workers:     *workers,
+		Quick:       *quick,
 	}
 	record := goldenFile{Quick: *quick}
 	var failures []string

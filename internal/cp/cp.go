@@ -2,8 +2,9 @@
 // V: the CP stays off the critical path, handling only the high-latency,
 // uncommon operations — draining the Monitor Log into a look-up-efficient
 // in-memory table, periodically checking the waiting conditions of spilled
-// synchronization variables, and (through the machine's dispatcher) the
-// context-switch legs of WG scheduling.
+// synchronization variables with one L2 read per monitored address, and
+// (through the machine's dispatcher) the context-switch legs of WG
+// scheduling.
 package cp
 
 import (
@@ -15,20 +16,6 @@ import (
 	"awgsim/internal/syncmon"
 )
 
-// DrainOrder selects how the CP walks spilled conditions during a check
-// pass. The paper notes the Monitor Log "may contain younger waiting
-// conditions than the SyncMon Cache", creating fairness issues it leaves
-// to future work; these two orders bracket the space.
-type DrainOrder int
-
-const (
-	// OrderFIFO checks conditions oldest-first (drain arrival order).
-	OrderFIFO DrainOrder = iota
-	// OrderRoundRobin rotates the starting point across passes so no
-	// address is persistently checked last.
-	OrderRoundRobin
-)
-
 // Config tunes the firmware's cadence.
 type Config struct {
 	// DrainInterval is how often the CP parses new Monitor Log entries.
@@ -37,8 +24,6 @@ type Config struct {
 	CheckInterval event.Cycle
 	// DrainBatch bounds entries parsed per drain pass.
 	DrainBatch int
-	// Order selects the check pass's walk order.
-	Order DrainOrder
 }
 
 // DefaultConfig returns a cadence that keeps spilled waiters' extra
@@ -62,8 +47,7 @@ type Processor struct {
 	wake syncmon.WakeFunc
 
 	tab    spillTable // slab-backed spilled-condition store
-	order  []condKey  // check order (drain arrival order)
-	rotate int        // round-robin start offset
+	order  []mem.Addr // monitored addresses, drain arrival order: the check walk
 	maxTab int
 
 	started bool        //lint:allow snapcover lifecycle latch set by Start; restore targets an already-started processor
@@ -73,9 +57,8 @@ type Processor struct {
 	jitter      func(state *uint64, base event.Cycle) event.Cycle
 	jitterState uint64
 
-	drainFn, checkFn func()     //lint:allow snapcover hoisted episode continuations wired once at start; a restored processor reuses the armed loops
-	scratch          []condKey  //lint:allow snapcover reusable scratch, rebuilt from the table every pass; dead between passes
-	wakeBuf          []gpu.WGID //lint:allow snapcover reusable scratch, rebuilt from the table every pass; dead between passes
+	drainFn, checkFn func()    //lint:allow snapcover hoisted episode continuations wired once at start; a restored processor reuses the armed loops
+	wakeBuf          []wakeRef //lint:allow snapcover reusable scratch, rebuilt from the table every check result; dead between results
 }
 
 // New builds a processor draining log on machine m. wake delivers met
@@ -164,7 +147,10 @@ func (p *Processor) MaxTableSize() int { return p.maxTab }
 // pass ever resumes it).
 func (p *Processor) Unregister(wg gpu.WGID, v gpu.Var, want int64, cmp gpu.Cmp) {
 	k := condKey{v.Addr.WordAligned(), want, cmp}
-	if p.tab.removeWaiter(k, wg) {
+	if removed, addrGone := p.tab.removeWaiter(k, wg); removed {
+		if addrGone {
+			p.unlist(k.addr)
+		}
 		return
 	}
 	if p.log.Remove(wg, k.addr, k.want) > 0 {
@@ -192,7 +178,7 @@ func (p *Processor) drainPass() {
 			continue
 		}
 		if p.tab.addWaiter(k, e.WG) {
-			p.order = append(p.order, k)
+			p.order = append(p.order, k.addr)
 		}
 		if p.tab.waiters > p.maxTab {
 			p.maxTab = p.tab.waiters
@@ -202,19 +188,15 @@ func (p *Processor) drainPass() {
 	p.m.Engine().After(p.cadence(p.cfg.DrainInterval), p.drainFn)
 }
 
-// dropCond removes a condition from the table, maintaining the address
-// index and check order, and returns its waiters in FIFO order (valid
-// until the next dropCond).
-func (p *Processor) dropCond(k condKey) []gpu.WGID {
-	ws := p.tab.dropWaiters(k, p.wakeBuf[:0])
-	p.wakeBuf = ws
+// unlist removes an address that lost its last condition from the check
+// walk.
+func (p *Processor) unlist(a mem.Addr) {
 	for i, o := range p.order {
-		if o == k {
+		if o == a {
 			p.order = append(p.order[:i], p.order[i+1:]...)
-			break
+			return
 		}
 	}
-	return ws
 }
 
 // noteHighWater folds the CP's occupancy into the machine counters — the
@@ -232,54 +214,37 @@ func (p *Processor) noteHighWater() {
 	}
 }
 
-// checkPass issues an L2 read per spilled condition and wakes the waiters
-// of conditions that now hold ("asynchronous periodic condition check").
+// checkPass issues one L2 read per monitored address and wakes the
+// waiters of the conditions on it that now hold ("asynchronous periodic
+// condition check"). The walk is in drain arrival order of the addresses,
+// never Go map order, so it replays deterministically. The reads return
+// after this pass ends, so the walk is not mutated while it runs.
 func (p *Processor) checkPass() {
 	if p.stopped() {
 		return
 	}
-	// Walk in a deterministic order: drain arrival (FIFO) or rotated
-	// round-robin. Map iteration order would break replay determinism.
-	//
-	// Snapshot the walk before issuing anything: a check result runs
-	// dropCond, which splices p.order, so indexing the live slice with the
-	// pass's stale length would skip or repeat conditions once the first
-	// met condition of the pass is dropped.
-	n := len(p.order)
-	start := 0
-	if p.cfg.Order == OrderRoundRobin && n > 0 {
-		start = p.rotate % n
-		p.rotate++
-	}
-	keys := p.scratch[:0]
-	for i := 0; i < n; i++ {
-		keys = append(keys, p.order[(start+i)%n])
-	}
-	p.scratch = keys
-	for _, k := range keys {
+	for _, a := range p.order {
 		t := p.m.Engine().NewTask(runCheckResult)
 		t.Env[0] = p
-		t.I[0] = int64(k.addr)
-		t.I[1] = k.want
-		t.I[2] = int64(k.cmp)
-		p.m.IssueAtomicTask(nil, gpu.GlobalVar(k.addr), gpu.OpLoad, 0, 0, t)
+		t.I[0] = int64(a)
+		p.m.IssueAtomicTask(nil, gpu.GlobalVar(a), gpu.OpLoad, 0, 0, t)
 	}
 	p.m.Engine().After(p.cadence(p.cfg.CheckInterval), p.checkFn)
 }
 
-// runCheckResult receives one condition check's L2 read (the value in
-// I[gpu.AtomicRet]) and wakes the condition's waiters if it now holds.
+// runCheckResult receives one address's L2 read (the value in
+// I[gpu.AtomicRet]), tests every spilled condition on the address against
+// it, and wakes the waiters of each met condition: conditions in drain
+// arrival order, each one's waiters in FIFO order.
 func runCheckResult(t *event.Task) {
 	p := t.Env[0].(*Processor)
-	k := condKey{mem.Addr(t.I[0]), t.I[1], gpu.Cmp(t.I[2])}
-	if !k.cmp.Test(t.I[gpu.AtomicRet], k.want) {
-		return
+	a := mem.Addr(t.I[0])
+	ws, addrGone := p.tab.dropWaiters(a, t.I[gpu.AtomicRet], p.wakeBuf[:0])
+	p.wakeBuf = ws
+	if addrGone {
+		p.unlist(a)
 	}
-	if !p.tab.inTable(k) {
-		return
-	}
-	ws := p.dropCond(k)
-	for _, wg := range ws {
-		p.wake(wg, k.addr, k.want, true)
+	for _, w := range ws {
+		p.wake(w.wg, a, w.want, true)
 	}
 }

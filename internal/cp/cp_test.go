@@ -166,8 +166,8 @@ func TestUnregisterConsumesRingEntry(t *testing.T) {
 
 func TestTwoSpilledConditionsMetSamePass(t *testing.T) {
 	// Both conditions hold when a check pass starts: the first wake drops
-	// its condition from p.order mid-pass, which must not make the walk
-	// skip or repeat the second (the pass snapshots its walk first).
+	// its address from p.order, which must not make the pass skip or
+	// repeat the second.
 	h := newHarness(t, DefaultConfig())
 	h.log.Push(syncmon.LogEntry{Addr: 0xc00, Want: 1, Cmp: gpu.CmpEQ, WG: 1})
 	h.log.Push(syncmon.LogEntry{Addr: 0xc40, Want: 2, Cmp: gpu.CmpEQ, WG: 2})
@@ -259,20 +259,100 @@ func TestCheckOrderDeterministic(t *testing.T) {
 	}
 }
 
-func TestRoundRobinRotatesStart(t *testing.T) {
+// atomics reports the L2 atomics the machine has issued so far.
+func (h *harness) atomics() uint64 { return h.m.Mem().Stats().Atomics }
+
+func TestWithdrawnConditionNotChecked(t *testing.T) {
+	// A condition whose only waiter withdraws leaves the check walk: later
+	// passes issue no read for it.
+	h := newHarness(t, DefaultConfig())
+	h.log.Push(syncmon.LogEntry{Addr: 0xd00, Want: 1, Cmp: gpu.CmpEQ, WG: 4})
+	h.runFor(10_000) // drained, first pass read it
+	h.p.Unregister(4, gpu.GlobalVar(0xd00), 1, gpu.CmpEQ)
+	before := h.atomics()
+	h.runFor(2 * DefaultConfig().CheckInterval)
+	if got := h.atomics() - before; got != 0 {
+		t.Fatalf("two passes after the withdrawal issued %d reads, want 0", got)
+	}
+}
+
+func TestRespilledConditionReadOncePerPass(t *testing.T) {
+	// Withdraw a condition's waiter, then spill the same condition again:
+	// each pass still reads its address exactly once.
 	cfg := DefaultConfig()
-	cfg.Order = OrderRoundRobin
 	h := newHarness(t, cfg)
-	// Two conditions that never become true: each check pass probes both,
-	// but rotation must alternate which is probed first. Observe through
-	// wake order once we satisfy them at different times.
-	h.log.Push(syncmon.LogEntry{Addr: 0xa00, Want: 1, Cmp: gpu.CmpEQ, WG: 1})
-	h.log.Push(syncmon.LogEntry{Addr: 0xa40, Want: 1, Cmp: gpu.CmpEQ, WG: 2})
-	h.runFor(20_000) // drained, neither satisfied
-	h.m.Mem().Write(0xa00, 1)
-	h.m.Mem().Write(0xa40, 1)
-	h.runFor(20_000)
-	if len(h.wakes) != 2 {
-		t.Fatalf("woke %d, want 2", len(h.wakes))
+	e := syncmon.LogEntry{Addr: 0xe00, Want: 1, Cmp: gpu.CmpEQ, WG: 5}
+	h.log.Push(e)
+	h.runFor(10_000)
+	h.p.Unregister(5, gpu.GlobalVar(0xe00), 1, gpu.CmpEQ)
+	h.log.Push(e)
+	h.runFor(cfg.CheckInterval) // drained again, one pass
+	const passes = 3
+	before := h.atomics()
+	h.runFor(passes * cfg.CheckInterval)
+	if got := h.atomics() - before; got != passes {
+		t.Fatalf("%d passes issued %d reads, want %d", passes, got, passes)
+	}
+	if h.p.TableSize() != 1 {
+		t.Fatalf("table size %d, want 1", h.p.TableSize())
+	}
+}
+
+func TestOneReadPerMonitoredAddress(t *testing.T) {
+	// 64 spilled conditions with distinct wants on one word, as a ticket
+	// lock's waiters spill: every check pass costs one bank slot, not 64,
+	// and one read wakes exactly the conditions it meets, in drain order.
+	cfg := DefaultConfig()
+	h := newHarness(t, cfg)
+	const n, addr = 64, mem.Addr(0xf00)
+	type cond struct {
+		want int64
+		cmp  gpu.Cmp
+	}
+	conds := make([]cond, n)
+	for i := range conds {
+		conds[i] = cond{want: int64(i*37%n + 1), cmp: gpu.CmpEQ}
+		if i%4 == 0 {
+			conds[i].cmp = gpu.CmpGE
+		}
+		h.log.Push(syncmon.LogEntry{Addr: addr, Want: conds[i].want, Cmp: conds[i].cmp, WG: gpu.WGID(i)})
+	}
+	h.runFor(cfg.DrainInterval + 1) // drained; the first pass is in flight
+	if h.p.TableSize() != n || h.m.Count.MaxMonitoredVars != 1 {
+		t.Fatalf("table %d waiters on %d addresses, want %d on 1", h.p.TableSize(), h.m.Count.MaxMonitoredVars, n)
+	}
+	const passes = 5
+	before := h.atomics()
+	h.runFor(passes * cfg.CheckInterval)
+	if got := h.atomics() - before; got != passes {
+		t.Fatalf("%d passes over %d conditions issued %d reads, want %d", passes, n, got, passes)
+	}
+	if len(h.wakes) != 0 {
+		t.Fatalf("woken before any condition held: %+v", h.wakes)
+	}
+
+	const v = 40
+	h.m.Mem().Write(addr, v)
+	var want []gpu.WGID
+	for i, c := range conds {
+		if c.cmp.Test(v, c.want) {
+			want = append(want, gpu.WGID(i))
+		}
+	}
+	before = h.atomics()
+	h.runFor(cfg.CheckInterval)
+	if got := h.atomics() - before; got != 1 {
+		t.Fatalf("one pass issued %d reads, want 1", got)
+	}
+	if len(h.wakes) != len(want) {
+		t.Fatalf("woke %d waiters, want %d: %+v", len(h.wakes), len(want), h.wakes)
+	}
+	for i, w := range h.wakes {
+		if w.wg != want[i] || w.addr != addr || w.want != conds[w.wg].want || !w.met {
+			t.Fatalf("wake %d = %+v, want WG %d (drain order %v)", i, w, want[i], want)
+		}
+	}
+	if h.p.TableSize() != n-len(want) {
+		t.Fatalf("table size %d after the wake, want %d", h.p.TableSize(), n-len(want))
 	}
 }

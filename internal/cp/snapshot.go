@@ -11,8 +11,8 @@ import (
 // copies. The firmware loop continuations (drainFn/checkFn) are hoisted
 // once in Start and live on the engine calendar — the engine snapshot
 // carries the pending loop events, and the func values themselves are
-// stable, so the Processor only records its bookkeeping. The checkPass
-// scratch buffers are excluded: nothing in them survives a pass.
+// stable, so the Processor only records its bookkeeping. The wake scratch
+// buffer is excluded: nothing in it survives a check result.
 //
 // The cadence-jitter hook is a func value whose pseudo-random walk lives in
 // the Processor's jitterState (the SetCadenceJitter contract), so saving
@@ -22,8 +22,7 @@ import (
 // Snapshot is a point-in-time copy of a Processor's simulated state.
 type Snapshot struct {
 	tab         tableSnap
-	order       []condKey
-	rotate      int
+	order       []mem.Addr
 	maxTab      int
 	jitter      func(state *uint64, base event.Cycle) event.Cycle
 	jitterState uint64
@@ -33,8 +32,7 @@ type Snapshot struct {
 func (p *Processor) Snapshot() *Snapshot {
 	return &Snapshot{
 		tab:         p.tab.snapshot(),
-		order:       append([]condKey(nil), p.order...),
-		rotate:      p.rotate,
+		order:       append([]mem.Addr(nil), p.order...),
 		maxTab:      p.maxTab,
 		jitter:      p.jitter,
 		jitterState: p.jitterState,
@@ -45,7 +43,6 @@ func (p *Processor) Snapshot() *Snapshot {
 func (p *Processor) Restore(sn *Snapshot) {
 	p.tab.restore(&sn.tab)
 	p.order = append(p.order[:0], sn.order...)
-	p.rotate = sn.rotate
 	p.maxTab = sn.maxTab
 	p.jitter = sn.jitter
 	p.jitterState = sn.jitterState
@@ -53,7 +50,7 @@ func (p *Processor) Restore(sn *Snapshot) {
 
 // Bytes estimates the snapshot's memory footprint.
 func (sn *Snapshot) Bytes() int {
-	return 64 + sn.tab.bytes() + 24*len(sn.order)
+	return 64 + sn.tab.bytes() + 8*len(sn.order)
 }
 
 // tableSnap is a point-in-time copy of a spillTable.
@@ -63,7 +60,7 @@ type tableSnap struct {
 	wnodes  []wgNode
 	freeW   int32
 	idx     *hashutil.Flat[condKey, int32]
-	addrs   *hashutil.Flat[mem.Addr, int32]
+	addrs   *hashutil.Flat[mem.Addr, addrChain]
 
 	waiters  int
 	condLive int
@@ -94,5 +91,5 @@ func (t *spillTable) restore(sn *tableSnap) {
 }
 
 func (sn *tableSnap) bytes() int {
-	return 48*len(sn.ents) + 16*len(sn.wnodes) + 32*(sn.idx.Len()+sn.addrs.Len())
+	return 56*len(sn.ents) + 16*len(sn.wnodes) + 32*(sn.idx.Len()+sn.addrs.Len())
 }

@@ -11,9 +11,8 @@ const nilRef int32 = -1
 
 // spillSlot is one slab-resident spilled condition. A slot exists while it
 // has live waiters (it is "in the table") or pending removed-tombstones (a
-// waiter withdrawn while its log entry sat in a drain batch in flight —
-// the PR 3 single-home bookkeeping, now a flagged list on the same slot
-// instead of a separate map of maps).
+// waiter withdrawn while its log entry sat in a drain batch in flight).
+// An in-table slot is also a link of its address's condition chain.
 type spillSlot struct {
 	key condKey
 
@@ -23,7 +22,18 @@ type spillSlot struct {
 	rHead int32 // removed-tombstone WGs awaiting drain consumption
 	rLen  int32
 
-	next int32 // freelist link while unallocated
+	anext int32 // next in-table condition on key.addr, drain arrival order
+	next  int32 // freelist link while unallocated
+}
+
+// addrChain is one monitored address's in-table conditions: an intrusive
+// list through spillSlot.anext, in the order they entered the table.
+type addrChain struct{ head, tail int32 }
+
+// wakeRef is one waiter of a met condition, queued for its wake.
+type wakeRef struct {
+	wg   gpu.WGID
+	want int64
 }
 
 // wgNode is one waiter/tombstone list node.
@@ -34,10 +44,10 @@ type wgNode struct {
 
 // spillTable is the CP's in-memory spilled-condition store: a slab of
 // condition slots indexed by an open-addressed (addr, want, cmp) table,
-// with intrusive freelist-backed waiter and tombstone lists and an
-// open-addressed per-address condition counter. It replaces the
-// table/removed/addrs Go maps; the check-order walk stays with the
-// Processor (drain arrival order is a slice, exactly as before).
+// with intrusive freelist-backed waiter and tombstone lists, and an
+// open-addressed index from each monitored address to its condition chain.
+// One L2 read of an address serves its whole chain; the walk order over
+// addresses stays with the Processor.
 type spillTable struct {
 	ents    []spillSlot
 	freeEnt int32
@@ -45,11 +55,11 @@ type spillTable struct {
 	wnodes []wgNode
 	freeW  int32
 
-	idx   *hashutil.Flat[condKey, int32]  // key -> 1-based slot ref (0 = fresh)
-	addrs *hashutil.Flat[mem.Addr, int32] // in-table conditions per address
+	idx   *hashutil.Flat[condKey, int32]      // key -> 1-based slot ref (0 = fresh)
+	addrs *hashutil.Flat[mem.Addr, addrChain] // monitored address -> condition chain
 
-	waiters  int // total live waiters (the old inTable)
-	condLive int // conditions with live waiters (the old len(table))
+	waiters  int // total live waiters
+	condLive int // conditions with live waiters
 }
 
 func newSpillTable() spillTable {
@@ -62,7 +72,7 @@ func newSpillTable() spillTable {
 		freeEnt: nilRef,
 		freeW:   nilRef,
 		idx:     hashutil.NewFlat[condKey, int32](64, hashKey),
-		addrs: hashutil.NewFlat[mem.Addr, int32](64, func(a mem.Addr) uint64 {
+		addrs: hashutil.NewFlat[mem.Addr, addrChain](64, func(a mem.Addr) uint64 {
 			return hashutil.Mix64(uint64(a))
 		}),
 	}
@@ -113,16 +123,22 @@ func (t *spillTable) maybeFree(e int32) {
 	t.freeEnt = e
 }
 
-func (t *spillTable) pushNode(head, tail *int32, wg gpu.WGID) {
-	var w int32
-	if t.freeW != nilRef {
-		w = t.freeW
-		t.freeW = t.wnodes[w].next
-	} else {
+// newNode takes a list node holding wg off the freelist, growing the slab
+// when the freelist is empty.
+func (t *spillTable) newNode(wg gpu.WGID, next int32) int32 {
+	w := t.freeW
+	if w == nilRef {
 		t.wnodes = append(t.wnodes, wgNode{})
 		w = int32(len(t.wnodes) - 1)
+	} else {
+		t.freeW = t.wnodes[w].next
 	}
-	t.wnodes[w] = wgNode{wg: wg, next: nilRef}
+	t.wnodes[w] = wgNode{wg: wg, next: next}
+	return w
+}
+
+func (t *spillTable) pushNode(head, tail *int32, wg gpu.WGID) {
+	w := t.newNode(wg, nilRef)
 	if *tail == nilRef {
 		*head = w
 	} else {
@@ -131,28 +147,57 @@ func (t *spillTable) pushNode(head, tail *int32, wg gpu.WGID) {
 	*tail = w
 }
 
-// addWaiter appends wg to k's waiter list (drain arrival order),
-// reporting whether the condition just entered the table.
-func (t *spillTable) addWaiter(k condKey, wg gpu.WGID) (newCond bool) {
+// addWaiter appends wg to k's waiter list (drain arrival order). A
+// condition entering the table joins the tail of its address's chain;
+// newAddr reports that the address was not monitored before.
+func (t *spillTable) addWaiter(k condKey, wg gpu.WGID) (newAddr bool) {
 	e := t.getOrCreate(k)
 	s := &t.ents[e]
-	newCond = s.wLen == 0
 	t.pushNode(&s.wHead, &s.wTail, wg)
 	s.wLen++
 	t.waiters++
-	if newCond {
-		t.condLive++
-		*t.addrs.Put(k.addr)++
+	if s.wLen > 1 {
+		return false
 	}
-	return newCond
+	t.condLive++
+	s.anext = nilRef
+	if c := t.addrs.Ref(k.addr); c != nil {
+		t.ents[c.tail].anext = e
+		c.tail = e
+		return false
+	}
+	*t.addrs.Put(k.addr) = addrChain{head: e, tail: e}
+	return true
+}
+
+// unchain removes in-table slot e from its address's chain, whose slot
+// before e is prev (nilRef at the head), reporting whether the address
+// has no condition left.
+func (t *spillTable) unchain(e, prev int32) (addrGone bool) {
+	a := t.ents[e].key.addr
+	c := t.addrs.Ref(a)
+	if prev == nilRef {
+		c.head = t.ents[e].anext
+	} else {
+		t.ents[prev].anext = t.ents[e].anext
+	}
+	if c.tail == e {
+		c.tail = prev
+	}
+	if c.head != nilRef {
+		return false
+	}
+	t.addrs.Delete(a)
+	return true
 }
 
 // removeWaiter unlinks wg from k's waiter list (a policy-timeout
-// withdrawal), reporting whether it was present.
-func (t *spillTable) removeWaiter(k condKey, wg gpu.WGID) bool {
+// withdrawal), reporting whether it was present and whether k's address
+// lost its last condition with it.
+func (t *spillTable) removeWaiter(k condKey, wg gpu.WGID) (removed, addrGone bool) {
 	e := t.lookup(k)
 	if e == nilRef {
-		return false
+		return false, false
 	}
 	s := &t.ents[e]
 	prev := nilRef
@@ -175,43 +220,50 @@ func (t *spillTable) removeWaiter(k condKey, wg gpu.WGID) bool {
 		t.waiters--
 		if s.wLen == 0 {
 			t.condLive--
-			t.addrDec(k.addr)
+			before := nilRef
+			for x := t.addrs.Ref(k.addr).head; x != e; x = t.ents[x].anext {
+				before = x
+			}
+			addrGone = t.unchain(e, before)
 			t.maybeFree(e)
 		}
-		return true
+		return true, addrGone
 	}
-	return false
+	return false, false
 }
 
-// dropWaiters removes condition k from the table entirely, appending its
-// waiters to buf in FIFO order (the check-met wake path).
-func (t *spillTable) dropWaiters(k condKey, buf []gpu.WGID) []gpu.WGID {
-	e := t.lookup(k)
-	if e == nilRef {
-		return buf
+// dropWaiters removes every in-table condition on address a that value v
+// meets (the check-met wake path), walking a's chain in drain arrival
+// order and appending each met condition's waiters to buf in FIFO order.
+// addrGone reports that a has no condition left.
+func (t *spillTable) dropWaiters(a mem.Addr, v int64, buf []wakeRef) (_ []wakeRef, addrGone bool) {
+	c := t.addrs.Ref(a)
+	if c == nil {
+		return buf, false
 	}
-	s := &t.ents[e]
-	for w := s.wHead; w != nilRef; {
-		buf = append(buf, t.wnodes[w].wg)
-		nx := t.wnodes[w].next
-		t.wnodes[w].next = t.freeW
-		t.freeW = w
-		w = nx
-	}
-	t.waiters -= int(s.wLen)
-	if s.wLen > 0 {
+	prev := nilRef
+	for e := c.head; e != nilRef; {
+		s := &t.ents[e]
+		next := s.anext
+		if !s.key.cmp.Test(v, s.key.want) {
+			prev, e = e, next
+			continue
+		}
+		for w := s.wHead; w != nilRef; {
+			buf = append(buf, wakeRef{t.wnodes[w].wg, s.key.want})
+			nx := t.wnodes[w].next
+			t.wnodes[w].next = t.freeW
+			t.freeW = w
+			w = nx
+		}
+		t.waiters -= int(s.wLen)
 		t.condLive--
-		t.addrDec(k.addr)
+		s.wHead, s.wTail, s.wLen = nilRef, nilRef, 0
+		addrGone = t.unchain(e, prev)
+		t.maybeFree(e)
+		e = next
 	}
-	s.wHead, s.wTail, s.wLen = nilRef, nilRef, 0
-	t.maybeFree(e)
-	return buf
-}
-
-// inTable reports whether k currently has live waiters.
-func (t *spillTable) inTable(k condKey) bool {
-	e := t.lookup(k)
-	return e != nilRef && t.ents[e].wLen > 0
+	return buf, addrGone
 }
 
 // addTombstone records that wg withdrew from k while its spill was in a
@@ -226,16 +278,7 @@ func (t *spillTable) addTombstone(k condKey, wg gpu.WGID) {
 		}
 	}
 	// Tombstone list order is immaterial (membership only): push at head.
-	var w int32
-	if t.freeW != nilRef {
-		w = t.freeW
-		t.freeW = t.wnodes[w].next
-	} else {
-		t.wnodes = append(t.wnodes, wgNode{})
-		w = int32(len(t.wnodes) - 1)
-	}
-	t.wnodes[w] = wgNode{wg: wg, next: s.rHead}
-	s.rHead = w
+	s.rHead = t.newNode(wg, s.rHead)
 	s.rLen++
 }
 
@@ -265,12 +308,4 @@ func (t *spillTable) consumeTombstone(k condKey, wg gpu.WGID) bool {
 		return true
 	}
 	return false
-}
-
-func (t *spillTable) addrDec(a mem.Addr) {
-	p := t.addrs.Ref(a)
-	*p--
-	if *p == 0 {
-		t.addrs.Delete(a)
-	}
 }

@@ -128,7 +128,7 @@ var homes = []home{
 		fields: map[string]bool{"tab": true, "order": true, "wakeBuf": true},
 		approved: map[string]bool{
 			"New": true, "Unregister": true, "drainPass": true,
-			"dropCond": true, "runCheckResult": true,
+			"unlist": true, "runCheckResult": true,
 			// Restore rewrites every container of the home from one saved
 			// image, so the single-home invariant holds by construction.
 			"Restore": true,
@@ -143,32 +143,40 @@ var homes = []home{
 		},
 		approved: map[string]bool{
 			"newSpillTable": true, "alloc": true, "maybeFree": true,
-			"pushNode": true, "addWaiter": true, "removeWaiter": true,
-			"dropWaiters": true, "addTombstone": true, "consumeTombstone": true,
+			"newNode": true, "pushNode": true, "addWaiter": true, "unchain": true,
+			"removeWaiter": true, "dropWaiters": true, "addTombstone": true,
+			"consumeTombstone": true,
 			// Whole-table rewind from a snapshot image (see Restore above).
 			"restore": true,
 		},
 	},
 	{
-		// A spilled condition's waiter and tombstone list heads.
+		// A spilled condition's waiter and tombstone list heads, and its
+		// link in its address's condition chain.
 		pkgSuffix: "/cp", typeName: "spillSlot",
 		fields: map[string]bool{
 			"wHead": true, "wTail": true, "wLen": true,
-			"rHead": true, "rLen": true, "next": true,
+			"rHead": true, "rLen": true, "anext": true, "next": true,
 		},
 		approved: map[string]bool{
 			"alloc": true, "maybeFree": true, "addWaiter": true,
-			"removeWaiter": true, "dropWaiters": true,
+			"unchain": true, "removeWaiter": true, "dropWaiters": true,
 			"addTombstone": true, "consumeTombstone": true,
 		},
+	},
+	{
+		// Per-address condition chain ends in the open-addressed index.
+		pkgSuffix: "/cp", typeName: "addrChain",
+		fields:   map[string]bool{"head": true, "tail": true},
+		approved: map[string]bool{"addWaiter": true, "unchain": true},
 	},
 	{
 		// Waiter/tombstone node freelist links.
 		pkgSuffix: "/cp", typeName: "wgNode",
 		fields: map[string]bool{"next": true},
 		approved: map[string]bool{
-			"pushNode": true, "removeWaiter": true, "dropWaiters": true,
-			"addTombstone": true, "consumeTombstone": true,
+			"newNode": true, "pushNode": true, "removeWaiter": true,
+			"dropWaiters": true, "consumeTombstone": true,
 		},
 	},
 	{
